@@ -158,6 +158,9 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
 
 
 def _matrix_from_entries(entries, order: str) -> np.ndarray:
+    """Loads a 4x4 gate, admitting it if unitary to the RESIDUAL tier and then
+    projecting it onto the nearest unitary, so that matrices rounded to this
+    module's own 10-digit output meet the library's STRUCTURAL tier."""
     if len(entries) != 16:
         raise ValidationError("matrix spec needs exactly 16 [re, im] entries")
     m = np.array([_complex_from(e) for e in entries]).reshape(4, 4)
@@ -167,7 +170,7 @@ def _matrix_from_entries(entries, order: str) -> np.ndarray:
         raise ValidationError(f"unknown basis order {order!r}")
     if not is_unitary(m, tolerances.RESIDUAL):
         raise NonUnitaryError("loaded matrix is not unitary")
-    return m
+    return _closest_unitary(m)
 
 
 def _load_matrix_file(path: str, order: str | None) -> np.ndarray:

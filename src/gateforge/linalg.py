@@ -50,6 +50,11 @@ MAGIC = np.array(
 _MAGIC_DAG = MAGIC.conj().T
 
 
+def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two 2x2 matrices, by broadcasting (no wrapper overhead)."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 def is_unitary(m: np.ndarray, atol: float = tol.STRUCTURAL) -> bool:
     """Whether ``m @ m.conj().T`` is the identity within ``atol`` (max-abs)."""
     m = np.asarray(m)
@@ -79,7 +84,7 @@ class LocalUnitaryPair:
 
     def matrix(self) -> np.ndarray:
         """The 4x4 operator this pair represents."""
-        return self.phase * np.kron(self.u_a, self.u_b)
+        return self.phase * _kron2(self.u_a, self.u_b)
 
     def dagger(self) -> "LocalUnitaryPair":
         return LocalUnitaryPair(
@@ -131,10 +136,10 @@ def joint_diagonalize_symmetric_unitary(m: np.ndarray) -> tuple[np.ndarray, np.n
 
     For symmetric unitary ``m`` the real and imaginary parts are commuting
     real symmetric matrices, so they share a real orthogonal eigenbasis.
-    Re(m) is diagonalized by cyclic Jacobi sweeps; within each of its
-    degenerate eigenspaces a second Jacobi pass on the restriction of Im(m)
-    resolves the remaining freedom.  No random perturbation is used, so the
-    output is deterministic.
+    Re(m) is diagonalized by LAPACK ``eigh``; within each of its degenerate
+    eigenspaces a second ``eigh`` on the restriction of Im(m) resolves the
+    remaining freedom.  No random perturbation is used, so the output is
+    deterministic.
 
     Returns:
         ``(o, theta)`` with ``o`` proper orthogonal (det +1) and ``theta`` the
@@ -154,7 +159,7 @@ def joint_diagonalize_symmetric_unitary(m: np.ndarray) -> tuple[np.ndarray, np.n
 
     x = (m.real + m.real.T) / 2
     y = (m.imag + m.imag.T) / 2
-    v, d = _jacobi_eigh(x)
+    d, v = np.linalg.eigh(x)
 
     order = np.argsort(-d, kind="stable")
     v, d = v[:, order], d[order]
@@ -169,7 +174,7 @@ def joint_diagonalize_symmetric_unitary(m: np.ndarray) -> tuple[np.ndarray, np.n
         if j - i > 1:
             block = v[:, i:j]
             restricted = block.T @ y @ block
-            w, _ = _jacobi_eigh((restricted + restricted.T) / 2)
+            _, w = np.linalg.eigh((restricted + restricted.T) / 2)
             v[:, i:j] = block @ w
         i = j
 
@@ -190,41 +195,6 @@ def joint_diagonalize_symmetric_unitary(m: np.ndarray) -> tuple[np.ndarray, np.n
             f"joint diagonalization residual {residual:.3g} exceeds 1e-8"
         )
     return o, theta
-
-
-def _jacobi_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi for a small real symmetric matrix.
-
-    Returns ``(v, d)`` with ``a = v @ diag(d) @ v.T`` and ``v`` orthogonal.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    for _ in range(tol.JACOBI_SWEEPS):
-        off = np.sqrt(2.0 * np.sum(np.tril(a, -1) ** 2))
-        if off < tol.JACOBI_OFF:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < tol.JACOBI_OFF:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                # Apply the Givens rotation G (G[p,p]=G[q,q]=c, G[p,q]=s,
-                # G[q,p]=-s) in place: a <- G.T a G, v <- v G.
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vcol_p, vcol_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vcol_p - s * vcol_q
-                v[:, q] = s * vcol_p + c * vcol_q
-    return v, np.diagonal(a).copy()
 
 
 def kron_factor(m: np.ndarray) -> LocalUnitaryPair:
@@ -253,7 +223,7 @@ def kron_factor(m: np.ndarray) -> LocalUnitaryPair:
 
     a = a / np.sqrt(np.linalg.det(a))
     b = b / np.sqrt(np.linalg.det(b))
-    kron = np.kron(a, b)
+    kron = _kron2(a, b)
     idx = np.unravel_index(np.argmax(np.abs(kron)), kron.shape)
     phase = m[idx] / kron[idx]
     phase = phase / abs(phase)
@@ -262,7 +232,7 @@ def kron_factor(m: np.ndarray) -> LocalUnitaryPair:
     b, flip_b = _sign_gauge(b)
     phase = phase * flip_a * flip_b
 
-    residual = np.max(np.abs(m - phase * np.kron(a, b)))
+    residual = np.max(np.abs(m - phase * _kron2(a, b)))
     if residual > 1e-8:
         raise NotAProductError(
             f"product reassembly residual {residual:.3g} exceeds 1e-8", residual=float(residual)

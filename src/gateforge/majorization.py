@@ -166,23 +166,27 @@ def birkhoff_express(mu: np.ndarray, lam: np.ndarray, t: float) -> PermutationWe
             ((PERMUTATIONS[i], float(wc[k])), (PERMUTATIONS[j], float(1 - wc[k])))
         )
 
-    # Triples, batch-solved via 2x2 normal equations after eliminating the
-    # sum-to-one constraint.  Subsets with parallel difference columns are
-    # skipped: anything they could certify was already caught by a pair.
+    # Triples, batch-solved by a Gram-Schmidt QR of the two difference columns
+    # after eliminating the sum-to-one constraint.  Normal equations would
+    # square the columns' condition number, which is large when a drift next
+    # to a chamber wall makes two permuted copies nearly equal.  Subsets with
+    # parallel difference columns (r11 * r22, the root of their Gram
+    # determinant, at most 1e-9) are skipped: anything they could certify was
+    # already caught by a pair.
     a = columns[_TRIPLE_INDEX[:, 0]]
     b = columns[_TRIPLE_INDEX[:, 1]]
     c = columns[_TRIPLE_INDEX[:, 2]]
     m1, m2, r = a - c, b - c, mu - c
-    g11 = np.einsum("ij,ij->i", m1, m1)
-    g12 = np.einsum("ij,ij->i", m1, m2)
-    g22 = np.einsum("ij,ij->i", m2, m2)
-    r1 = np.einsum("ij,ij->i", m1, r)
-    r2 = np.einsum("ij,ij->i", m2, r)
-    det = g11 * g22 - g12 * g12
-    solvable = det > 1e-18
-    safe_det = np.where(solvable, det, 1.0)
-    w1 = np.where(solvable, (r1 * g22 - r2 * g12) / safe_det, -1.0)
-    w2 = np.where(solvable, (r2 * g11 - r1 * g12) / safe_det, -1.0)
+    r11 = np.sqrt(np.einsum("ij,ij->i", m1, m1))
+    q1 = m1 / np.where(r11 > 0, r11, 1.0)[:, None]
+    r12 = np.einsum("ij,ij->i", q1, m2)
+    u = m2 - r12[:, None] * q1
+    r22 = np.sqrt(np.einsum("ij,ij->i", u, u))
+    solvable = r11 * r22 > 1e-9
+    safe_r11 = np.where(solvable, r11, 1.0)
+    safe_r22 = np.where(solvable, r22, 1.0)
+    w2 = np.where(solvable, np.einsum("ij,ij->i", u, r) / (safe_r22 * safe_r22), -1.0)
+    w1 = np.where(solvable, (np.einsum("ij,ij->i", q1, r) - r12 * w2) / safe_r11, -1.0)
     w3 = 1.0 - w1 - w2
     mix = w1[:, None] * a + w2[:, None] * b + w3[:, None] * c
     residual = np.max(np.abs(mix - mu), axis=1)

@@ -28,14 +28,11 @@ BOUNDARY = 1e-9 * _SCALE
 #: Symmetry precondition of the joint diagonalizer.
 SYMMETRY = 1e-9 * _SCALE
 
-#: Eigenvalue clustering gap for the two-stage Jacobi.  Real parts closer than
-#: this are resolved by the imaginary part; commutation makes the final
-#: residual insensitive to the exact cutoff (the residual check is authoritative).
+#: Eigenvalue clustering gap of the joint diagonalizer (LAPACK ``eigh`` with a
+#: degenerate-cluster second pass).  Re(m) eigenvalues closer than this are
+#: resolved by a second ``eigh`` on Im(m); commutation makes the final residual
+#: insensitive to the exact cutoff (the residual check is authoritative).
 CLUSTER = 1e-6
-
-#: Jacobi sweep cap and off-diagonal convergence threshold.
-JACOBI_SWEEPS = 50
-JACOBI_OFF = 1e-14
 
 #: Durations below this are dropped from synthesized protocols.
 DURATION_FLOOR = 1e-12

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import random_unitary
 from gateforge import gates
 from gateforge.cli import (
     EXIT_INFEASIBLE,
@@ -291,6 +292,41 @@ def test_batch_synth_and_verify(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "batch", "--input", str(path))
     assert code == EXIT_OK
     assert json.loads(out.strip())["result"]["passed"] is True
+
+
+def test_batch_accepts_matrices_rounded_to_cli_precision(capsys, tmp_path):
+    # Entries rounded to the CLI's own 10 significant digits leave a unitary
+    # only to ~1e-9, short of the library's 1e-10 tier; the loader projects
+    # them back onto the nearest unitary instead of failing downstream.
+    rng = np.random.default_rng(31)
+    lines = []
+    for _ in range(200):
+        u = random_unitary(4, rng)
+        entries = [[float(f"{z.real:.10g}"), float(f"{z.imag:.10g}")] for z in u.ravel()]
+        gate = {"matrix": entries}
+        lines.append({"cmd": "canon", "full": True, "gate": gate})
+        lines.append({"cmd": "synth", "gate": gate, "alpha": [1.0, 0.7, -0.2]})
+    path = tmp_path / "rounded.jsonl"
+    path.write_text("\n".join(json.dumps(line) for line in lines) + "\n")
+    code, out, _ = run_cli(capsys, "batch", "--input", str(path))
+    assert code == EXIT_OK
+    results = [json.loads(line) for line in out.strip().splitlines()]
+    assert len(results) == 400
+    assert all(r["ok"] for r in results), next(r["error"] for r in results if not r["ok"])
+    assert all(r["result"]["verification"]["passed"] for r in results[1::2])
+
+
+def test_batch_rejects_matrix_off_unitary_by_1e_6(capsys, tmp_path):
+    u = random_unitary(4, np.random.default_rng(32))
+    u[0, 0] += 1e-6
+    entries = [[z.real, z.imag] for z in u.ravel()]
+    path = tmp_path / "off.jsonl"
+    path.write_text(json.dumps({"cmd": "canon", "gate": {"matrix": entries}}) + "\n")
+    code, out, _ = run_cli(capsys, "batch", "--input", str(path))
+    assert code == EXIT_OK
+    result = json.loads(out.strip())
+    assert not result["ok"]
+    assert "not unitary" in result["error"]
 
 
 def test_batch_empty_file(capsys, tmp_path):

@@ -139,6 +139,23 @@ def test_joint_diagonalize_random_with_degeneracies():
         assert np.allclose(np.sort(got), np.sort(theta), atol=1e-8)
 
 
+def test_joint_diagonalize_near_cluster_phases():
+    # theta = (phi, -phi + delta, psi, -psi): Re(m) has two eigenvalue pairs
+    # split by ~delta, just above CLUSTER, so each is diagonalized on its own
+    # and the reassembly must not lose digits there.
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for delta in (1e-6, 3e-6, 1e-5):
+        for _ in range(200):
+            o = random_proper_orthogonal(4, rng)
+            phi, psi = rng.uniform(0, np.pi, size=2)
+            theta = np.array([phi, -phi + delta, psi, -psi])
+            m = o.T @ np.diag(np.exp(1j * theta)) @ o
+            o2, got = joint_diagonalize_symmetric_unitary(m)
+            worst = max(worst, np.max(np.abs(m - o2.T @ np.diag(np.exp(1j * got)) @ o2)))
+    assert worst <= 1e-9
+
+
 def test_joint_diagonalize_rejects_asymmetric():
     m = np.eye(4, dtype=complex)
     m[0, 1], m[1, 0] = 0.6, -0.6
@@ -177,6 +194,7 @@ def test_kron_factor_random_products_and_gauge_idempotence():
         m = phase * np.kron(random_su2(rng), random_su2(rng))
         pair = kron_factor(m)
         assert np.max(np.abs(pair.matrix() - m)) <= 1e-9
+        assert np.max(np.abs(pair.matrix() - pair.phase * np.kron(pair.u_a, pair.u_b))) <= 1e-15
         again = kron_factor(pair.matrix())
         assert np.max(np.abs(again.u_a - pair.u_a)) <= 1e-9
         assert np.max(np.abs(again.u_b - pair.u_b)) <= 1e-9
@@ -245,5 +263,6 @@ def test_local_pair_matrix_and_dagger():
     rng = np.random.default_rng(23)
     pair = LocalUnitaryPair(random_su2(rng), random_su2(rng), np.exp(0.7j))
     m = pair.matrix()
+    assert np.max(np.abs(m - pair.phase * np.kron(pair.u_a, pair.u_b))) <= 1e-15
     assert np.allclose(pair.dagger().matrix(), m.conj().T, atol=1e-12)
     pair.validate()

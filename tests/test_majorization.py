@@ -133,6 +133,25 @@ def test_birkhoff_random_instances_reverify():
         w.validate()
 
 
+def test_birkhoff_drift_next_to_a_wall():
+    # A drift a hair off the a2 = -a3 wall has two nearly equal eigenvalues,
+    # so two permuted copies of lam nearly coincide and the triple solve is
+    # ill-conditioned; time-optimal targets on that wall still need a triple.
+    rng = np.random.default_rng(7)
+    for gap in (1e-5, 1e-4, 1e-3):
+        for _ in range(50):
+            a1 = rng.uniform(0.5, 1.5)
+            a2 = rng.uniform(0.2, a1)
+            b1 = rng.uniform(0, QUARTER_PI)
+            b2 = rng.uniform(0, b1)
+            alpha, beta = np.array([a1, a2, -a2 + gap]), np.array([b1, b2, -b2])
+            t = min_time(beta, alpha)
+            lam, mu = alpha_to_lambda(alpha), alpha_to_lambda(beta)
+            w = birkhoff_express(mu, lam, t)
+            assert len(w.terms) <= 3
+            assert np.max(np.abs(w.apply(lam, t) - mu)) <= 1e-9
+
+
 def test_birkhoff_rejects_nonmajorized():
     lam = np.array([1.0, 0.5, -0.5, -1.0])
     with pytest.raises(NotMajorizedError):
