@@ -24,6 +24,7 @@ from .linalg import (
     PAULIS,
     PAULI_PAIRS,
     LocalUnitaryPair,
+    _row_label,
     drift_exponential,
     from_magic,
     joint_diagonalize_symmetric_unitary,
@@ -175,9 +176,9 @@ def canonical_reduce(a: np.ndarray) -> np.ndarray:
 
 def _s_order_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise :func:`s_order` values (no move records) for an (n, 3) array."""
-    idx = np.argsort(-np.abs(m), axis=1, kind="stable")
-    out = np.take_along_axis(np.abs(m), idx, axis=1)
-    out[:, 2] *= np.sign(m[:, 0]) * np.sign(m[:, 1]) * np.sign(m[:, 2])
+    mags = np.abs(m)
+    out = mags[np.arange(len(m))[:, None], (-mags).argsort(axis=1, kind="stable")]
+    out[:, 2] *= np.sign(m).prod(axis=1)
     return out
 
 
@@ -272,14 +273,26 @@ def _content_from_phases(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lexicographically largest reduction is kept as a deterministic tie-break
     against roundoff, and the winning branch's lambda (folded to an exactly
     zero sum) is returned for reassembly.
+
+    ``theta`` is one 4-vector or a stack ``(n, 4)``, giving ``(3,), (4,)`` or
+    ``(n, 3), (n, 4)``; each row is reduced exactly as it would be alone.
+
+    Raises:
+        BranchResolutionError: if no branch of some row has a 2pi-periodic
+            sum; for a stack the message names the row.
     """
-    base = -np.asarray(theta, dtype=float) / 2
-    candidates = base + np.pi * _BRANCH_OFFSETS
-    totals = candidates.sum(axis=1)
-    wraps = np.round(totals / (2 * np.pi))
+    theta = np.asarray(theta, dtype=float)
+    stacked = theta.ndim == 2
+    rows = theta if stacked else theta[None]
+    candidates = (-rows / 2)[:, None, :] + np.pi * _BRANCH_OFFSETS
+    totals = candidates.sum(axis=-1)
+    wraps = (totals / (2 * np.pi)).round()
     valid = np.abs(totals - 2 * np.pi * wraps) <= 1e-6
-    if not np.any(valid):
-        raise BranchResolutionError("no eigenvalue branch has a 2pi-periodic sum")
+    counts = valid.sum(axis=-1)
+    if not counts.all():
+        where = _row_label(stacked, int(counts.argmin()))
+        raise BranchResolutionError(f"no eigenvalue branch has a 2pi-periodic sum{where}")
+    row = valid.nonzero()[0]
     lams = candidates[valid]
     lams[:, 3] -= 2 * np.pi * wraps[valid]
     lams -= (lams.sum(axis=1) / 4)[:, None]  # spread residual; moves D by < 1e-9
@@ -291,10 +304,14 @@ def _content_from_phases(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ]
     )
     reduced = _canonical_reduce_rows(alphas)
-    keys = np.round(reduced, 12)
-    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-    best = int(order[-1])
-    return reduced[best], lams[best]
+    keys = reduced.round(12)
+    # Stable sort by row, then key: the last entry of each row's run is that
+    # row's largest key, ties going to the highest branch index.
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0], row))
+    best = order[counts.cumsum() - 1]
+    if stacked:
+        return reduced[best], lams[best]
+    return reduced[best[0]], lams[best[0]]
 
 
 def interaction_content(g: np.ndarray) -> np.ndarray:
@@ -304,12 +321,17 @@ def interaction_content(g: np.ndarray) -> np.ndarray:
     the drift eigenvalues off the eigenphases of ``g^T g`` there; local
     factors drop out because they are real orthogonal in that frame.
 
+    ``g`` is one 4x4 gate or a stack ``(n, 4, 4)``, giving ``(3,)`` or
+    ``(n, 3)``.  A stack is diagonalized in one batched pass, and each row
+    equals the content of that gate computed alone, bit for bit.
+
     Raises:
-        NonUnitaryError: if ``g`` is not unitary.
+        NonUnitaryError: if ``g`` (or any gate of a stack) is not unitary;
+            for a stack the message names the row.
     """
     g_special, _ = special_normalize(g)
     m = to_magic(g_special)
-    _, theta = joint_diagonalize_symmetric_unitary(m.T @ m)
+    _, theta = joint_diagonalize_symmetric_unitary(m.swapaxes(-1, -2) @ m)
     return _content_from_phases(theta)[0]
 
 

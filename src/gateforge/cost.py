@@ -4,30 +4,29 @@ partial order on gates.
 
 The cost of realizing a gate with content ``beta`` from a drift ``alpha``
 under instantaneous local control is the smallest ``t`` such that a pi/2
-shift of ``beta`` is s-majorized by ``alpha * t``; only the shifts
-``(0,0,0)`` and ``(-1,0,0)`` can ever win, which the feasibility scan here
-deliberately re-verifies over a much larger shift set.
+shift of ``beta`` is s-majorized by ``alpha * t``.  For canonical ``beta``
+only the shifts ``(0,0,0)`` and ``(-1,0,0)`` can ever win, so both the cost
+optimizer and the feasibility test look at these two branches alone.  The
+test suite checks both against a scan over every shift in {-2..2}^3.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tolerances as tol
-from .canonical import HALF_PI, QUARTER_PI, s_order
+from .canonical import HALF_PI, QUARTER_PI, _s_order_rows, is_canonical, s_order
 from .errors import BetaOutOfRangeError, UnknownGateError
 from .majorization import min_time, s_majorizes
 
-#: Fixed lexicographic scan order over integer shift vectors; a superset of
-#: the two shifts the optimizer needs, acting as an independent oracle.
-_SHIFT_SCAN = tuple(itertools.product(range(-2, 3), repeat=3))
-
+#: The only shifts of a canonical content that can be s-majorized first,
+#: in the order they are tried.
 _BRANCHES = ((0, 0, 0), (-1, 0, 0))
+_BRANCH_SHIFTS = HALF_PI * np.array(_BRANCHES, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -58,24 +57,50 @@ class OrderVerdict(enum.Enum):
     OUTSIDE_REGION = "OutsideRegion"
 
 
+def _s_sums(rows: np.ndarray) -> np.ndarray:
+    """The three partial sums compared by s-majorization, for s-ordered rows
+    ``(..., 3)``: ``a1``, ``a1 + a2 - a3`` and ``a1 + a2 + a3``."""
+    a1, a2, a3 = rows[..., 0], rows[..., 1], rows[..., 2]
+    return np.stack([a1, a1 + a2 - a3, a1 + a2 + a3], axis=-1)
+
+
+def _feasible_rows(beta: np.ndarray, alpha: np.ndarray, t: np.ndarray, atol: float) -> np.ndarray:
+    """Row-wise two-branch feasibility of canonical contents ``beta`` (n, 3)
+    at times ``t`` (n,).
+
+    Row ``i`` gets the index into :data:`_BRANCHES` of the first branch whose
+    shift of ``beta[i]`` is s-majorized by ``alpha * t[i]`` with slack
+    ``atol`` on each of the three inequalities, or -1 when neither is.
+    """
+    beta = np.asarray(beta, dtype=float)
+    reach = _s_sums(_s_order_rows(np.asarray(alpha, dtype=float) * np.asarray(t, dtype=float)[:, None]))
+    shifted = _s_order_rows((beta[:, None, :] + _BRANCH_SHIFTS).reshape(-1, 3))
+    need = _s_sums(shifted).reshape(len(beta), len(_BRANCHES), 3)
+    ok = np.all(reach[:, None, :] >= need - atol, axis=-1)
+    return np.where(ok[:, 0], 0, np.where(ok[:, 1], 1, -1))
+
+
 def feasible(
     beta: np.ndarray,
     alpha: np.ndarray,
     t: float,
     atol: float = tol.STRUCTURAL,
 ) -> tuple[bool, tuple[int, int, int] | None]:
-    """Whether some integer shift of ``beta`` is s-majorized by ``alpha * t``.
+    """Whether some pi/2 shift of the canonical content ``beta`` is
+    s-majorized by ``alpha * t``, with slack ``atol`` on each inequality.
 
-    Scans shift vectors ``n`` over {-2..2}^3 in a fixed lexicographic order
-    and returns the first hit, or ``(False, None)``.
+    Tries the branches ``(0,0,0)`` and ``(-1,0,0)`` in that order and returns
+    the first hit, or ``(False, None)``.  For a canonical ``beta`` (as
+    produced by :func:`gateforge.canonical.interaction_content`) no other
+    shift can be feasible when these two are not.
+
+    Raises:
+        BetaOutOfRangeError: if ``beta`` is not canonical.
     """
-    beta = np.asarray(beta, dtype=float)
-    alpha_t = np.asarray(alpha, dtype=float) * t
-    for n in _SHIFT_SCAN:
-        shifted = beta + HALF_PI * np.asarray(n)
-        if s_majorizes(alpha_t, shifted, atol=atol):
-            return True, n
-    return False, None
+    if not is_canonical(beta):
+        raise BetaOutOfRangeError(f"content {np.asarray(beta).tolist()} is not canonical")
+    k = int(_feasible_rows(np.asarray(beta, dtype=float)[None], alpha, np.array([t], dtype=float), atol)[0])
+    return (True, _BRANCHES[k]) if k >= 0 else (False, None)
 
 
 def interaction_cost(beta: np.ndarray, alpha: np.ndarray) -> CostReport:

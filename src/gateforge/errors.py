@@ -42,7 +42,8 @@ class UnknownGateError(ValidationError):
 
 
 class BetaOutOfRangeError(ValidationError):
-    """Controlled-U phase parameter outside [0, pi/4]."""
+    """Controlled-U phase parameter outside [0, pi/4], or a content outside
+    the canonical chamber where a canonical one is required."""
 
 
 class NotAProductError(GateforgeError):

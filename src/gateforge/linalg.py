@@ -10,7 +10,6 @@ determinant-one local unitaries are real orthogonal.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,18 +54,44 @@ def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
+def _unitarity_gap(rows: np.ndarray) -> np.ndarray:
+    """Entrywise ``|m @ m.conj().T - I|`` for each matrix ``m`` of a stack."""
+    return np.abs(rows @ rows.transpose(0, 2, 1).conj() - np.eye(rows.shape[-1]))
+
+
+def _first_row_over(err: np.ndarray, limit: float) -> tuple[int, float]:
+    """The first matrix of a stack ``err`` (n, k, k) with an entry above
+    ``limit`` (or NaN), and that matrix's largest entry."""
+    worst = err.max(axis=(-2, -1))
+    row = int(np.argmax(~(worst <= limit)))
+    return row, float(worst[row])
+
+
+def _row_label(stacked: bool, row: int) -> str:
+    """`` in row k`` for an error about one matrix of a stack, else empty."""
+    return f" in row {row}" if stacked else ""
+
+
 def is_unitary(m: np.ndarray, atol: float = tol.STRUCTURAL) -> bool:
     """Whether ``m @ m.conj().T`` is the identity within ``atol`` (max-abs)."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return bool(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) <= atol)
+    return bool(_unitarity_gap(m[None]).max() <= atol)
 
 
 def _require_unitary(m: np.ndarray, what: str = "matrix", atol: float = tol.STRUCTURAL) -> np.ndarray:
+    """``m`` as a complex array, checked unitary; a stack ``(n, k, k)`` is
+    checked matrix by matrix and an error names the first failing row."""
     m = np.asarray(m, dtype=complex)
-    if not is_unitary(m, atol):
-        raise NonUnitaryError(f"{what} is not unitary within {atol:g}")
+    stacked = m.ndim == 3
+    rows = m if stacked else m[None]
+    if rows.ndim != 3 or rows.shape[-1] != rows.shape[-2]:
+        raise NonUnitaryError(f"{what} is not a square matrix")
+    gap = _unitarity_gap(rows)
+    if not gap.max() <= atol:
+        row, _ = _first_row_over(gap, atol)
+        raise NonUnitaryError(f"{what}{_row_label(stacked, row)} is not unitary within {atol:g}")
     return m
 
 
@@ -120,15 +145,16 @@ def special_normalize(m: np.ndarray) -> tuple[np.ndarray, complex]:
     """Rescales a unitary to determinant one.
 
     Returns ``(m / c, c)`` where ``c`` is the principal fourth root of
-    ``det(m)`` (argument in (-pi/4, pi/4]).
+    ``det(m)`` (argument in (-pi/4, pi/4]).  A stack ``(n, 4, 4)`` is
+    rescaled matrix by matrix and ``c`` has shape ``(n,)``.
 
     Raises:
-        NonUnitaryError: if ``m`` is not unitary.
+        NonUnitaryError: if ``m`` (or any matrix of a stack) is not unitary.
     """
     m = _require_unitary(m)
     det = np.linalg.det(m)
-    c = cmath.exp(1j * cmath.phase(det) / 4)
-    return m / c, c
+    c = np.exp(0.25j * np.arctan2(det.imag, det.real))
+    return m / c[..., None, None], c
 
 
 def joint_diagonalize_symmetric_unitary(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -137,64 +163,82 @@ def joint_diagonalize_symmetric_unitary(m: np.ndarray) -> tuple[np.ndarray, np.n
     For symmetric unitary ``m`` the real and imaginary parts are commuting
     real symmetric matrices, so they share a real orthogonal eigenbasis.
     Re(m) is diagonalized by LAPACK ``eigh``; within each of its degenerate
-    eigenspaces a second ``eigh`` on the restriction of Im(m) resolves the
-    remaining freedom.  No random perturbation is used, so the output is
-    deterministic.
+    eigenspaces a second ``eigh`` on the restriction of Im(m), or of
+    Im(m) - Re(m) where the eigenphases lie near +-pi/2, resolves the
+    remaining freedom.  No random perturbation is used, so the
+    output is deterministic.
+
+    ``m`` is one 4x4 matrix or a stack ``(n, 4, 4)``.  A stack goes through
+    one batched ``eigh``; only matrices with a degenerate cluster take the
+    second pass.  A single matrix is the ``n = 1`` case of the same code, so
+    each matrix of a stack gets exactly the result it gets alone.
 
     Returns:
         ``(o, theta)`` with ``o`` proper orthogonal (det +1) and ``theta`` the
         four eigenphases, sorted nonincreasingly, such that
-        ``m = o.T @ diag(exp(1j * theta)) @ o``.
+        ``m = o.T @ diag(exp(1j * theta)) @ o``; for a stack, ``(n, 4, 4)``
+        and ``(n, 4)``.
 
     Raises:
         NotSymmetricError: if ``m`` differs from its transpose beyond tolerance.
         NonUnitaryError: if ``m`` is not unitary.
         DiagonalizationFailedError: if the final residual exceeds 1e-8,
             signalling numerically pathological input.
+        For a stack, the message names the first failing row.
     """
     m = np.asarray(m, dtype=complex)
-    if np.max(np.abs(m - m.T)) > tol.SYMMETRY:
-        raise NotSymmetricError("matrix is not symmetric")
+    stacked = m.ndim == 3
+    ms = m if stacked else m[None]
+    asymmetry = np.abs(ms - ms.transpose(0, 2, 1))
+    if asymmetry.max() > tol.SYMMETRY:
+        row, _ = _first_row_over(asymmetry, tol.SYMMETRY)
+        raise NotSymmetricError(f"matrix{_row_label(stacked, row)} is not symmetric")
     _require_unitary(m, "symmetric input")
 
-    x = (m.real + m.real.T) / 2
-    y = (m.imag + m.imag.T) / 2
-    d, v = np.linalg.eigh(x)
+    # z.real and z.imag are the symmetrized Re(m) and Im(m).
+    z = (ms + ms.transpose(0, 2, 1)) * 0.5
+    d, v = np.linalg.eigh(z.real)
 
-    order = np.argsort(-d, kind="stable")
-    v, d = v[:, order], d[order]
+    # Indexing with (row, order) moves the gathered eigenvectors to rows.
+    rows = np.arange(len(ms))[:, None]
+    order = (-d).argsort(axis=-1, kind="stable")
+    d = d[rows, order]
+    v = v[rows, :, order].transpose(0, 2, 1)
 
-    # Degenerate Re(m) eigenspaces: diagonalize the restriction of Im(m).
-    i = 0
-    n = d.size
-    while i < n:
-        j = i + 1
-        while j < n and abs(d[j] - d[i]) < tol.CLUSTER:
-            j += 1
-        if j - i > 1:
-            block = v[:, i:j]
-            restricted = block.T @ y @ block
-            _, w = np.linalg.eigh((restricted + restricted.T) / 2)
-            v[:, i:j] = block @ w
-        i = j
+    # A degenerate Re(m) eigenspace holds phases near +-c, where cos(c) = d.
+    # On it diagonalize the restriction of Im(m): its eigenvalues sin(theta)
+    # split the groups at +c and -c, and within a group they move with slope
+    # cos(theta) = d.  Where |d| < 1/2 that slope is too flat, so take
+    # Im(m) - Re(m) = sqrt2 sin(theta - pi/4) instead, whose slope at +-c is
+    # then at least 0.26 of its maximum.  A cluster is a run of sorted
+    # eigenvalues whose neighbours lie within CLUSTER; most stacks have none.
+    close = d[:, :-1] - d[:, 1:] < tol.CLUSTER
+    for r in close.any(axis=-1).nonzero()[0]:
+        cuts = [0, *(~close[r]).nonzero()[0] + 1, 4]
+        for i, j in zip(cuts, cuts[1:]):
+            if j - i > 1:
+                f = z[r].imag if abs(d[r, i]) >= 0.5 else z[r].imag - z[r].real
+                block = v[r, :, i:j]
+                restricted = block.T @ f @ block
+                _, w = np.linalg.eigh((restricted + restricted.T) / 2)
+                v[r, :, i:j] = block @ w
 
-    xs = np.einsum("ji,jk,ki->i", v, x, v)
-    ys = np.einsum("ji,jk,ki->i", v, y, v)
-    theta = np.arctan2(ys, xs)
+    # Rayleigh quotients v^T z v are cos + i sin of each eigenphase.
+    zs = np.einsum("nji,njk,nki->ni", v, z, v)
+    theta = np.arctan2(zs.imag, zs.real)
 
-    order = np.argsort(-theta, kind="stable")
-    v, theta = v[:, order], theta[order]
+    order = (-theta).argsort(axis=-1, kind="stable")
+    theta = theta[rows, order]
+    o = v[rows, :, order]
+    o[:, -1, :] *= np.sign(np.linalg.det(o))[:, None]  # det is +-1: make it +1
 
-    o = v.T.copy()
-    if np.linalg.det(o) < 0:
-        o[-1, :] = -o[-1, :]
-
-    residual = np.max(np.abs(m - o.T @ np.diag(np.exp(1j * theta)) @ o))
-    if residual > 1e-8:
+    residual = np.abs(ms - (o.transpose(0, 2, 1) * np.exp(1j * theta)[:, None, :]) @ o)
+    if residual.max() > 1e-8:
+        row, worst = _first_row_over(residual, 1e-8)
         raise DiagonalizationFailedError(
-            f"joint diagonalization residual {residual:.3g} exceeds 1e-8"
+            f"joint diagonalization residual {worst:.3g}{_row_label(stacked, row)} exceeds 1e-8"
         )
-    return o, theta
+    return (o, theta) if stacked else (o[0], theta[0])
 
 
 def kron_factor(m: np.ndarray) -> LocalUnitaryPair:

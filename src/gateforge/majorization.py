@@ -121,7 +121,9 @@ def birkhoff_express(mu: np.ndarray, lam: np.ndarray, t: float) -> PermutationWe
     (singletons, then pairs, then triples, lexicographic throughout); for each
     subset the small linear system for the weights is solved and the first
     subset with nonnegative weights and residual at most 1e-9 is returned,
-    making the output deterministic.
+    making the output deterministic.  Residuals and solvability thresholds
+    are taken relative to ``max|lam * t|``, so the result does not depend on
+    the scale of the content.
 
     Raises:
         NotMajorizedError: if ``lam * t`` does not majorize ``mu``.
@@ -135,7 +137,11 @@ def birkhoff_express(mu: np.ndarray, lam: np.ndarray, t: float) -> PermutationWe
     if not majorizes(lam * t, mu):
         raise NotMajorizedError("lam * t does not majorize mu")
 
-    columns = lam[_PERM_GATHER] * t  # 24 x 4
+    # The thresholds below are relative: everything is measured in units of
+    # max|lam * t|, so a weak target is certified as readily as a strong one.
+    scale = float(np.max(np.abs(lam * t))) or 1.0
+    mu = mu / scale
+    columns = lam[_PERM_GATHER] * t / scale  # 24 x 4
 
     # Singletons.
     gaps = np.max(np.abs(columns - mu), axis=1)

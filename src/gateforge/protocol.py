@@ -24,9 +24,9 @@ from .canonical import (
     kak_decompose,
     s_order,
 )
-from .cost import feasible, interaction_cost
-from .errors import InfeasibleError, SynthesisResidualError
-from .linalg import LocalUnitaryPair, drift_exponential, kron_factor
+from .cost import _feasible_rows, interaction_cost
+from .errors import InfeasibleError, NegativeDurationError, SynthesisResidualError
+from .linalg import LocalUnitaryPair, drift_exponential, from_magic, kron_factor, to_magic
 from .majorization import birkhoff_express
 
 
@@ -93,6 +93,11 @@ def synthesize(target: np.ndarray, alpha: np.ndarray) -> Protocol:
         SynthesisResidualError: if the result fails its own verification at
             1e-7, which indicates an internal inconsistency.
     """
+    return _synthesize(target, alpha)[0]
+
+
+def _synthesize(target: np.ndarray, alpha: np.ndarray) -> tuple[Protocol, VerificationReport]:
+    """:func:`synthesize`, also returning the report of its self-check."""
     alpha = np.asarray(alpha, dtype=float)
     if not is_s_ordered(alpha):
         raise ValueError("drift coefficient vector must be s-ordered")
@@ -153,13 +158,13 @@ def synthesize(target: np.ndarray, alpha: np.ndarray) -> Protocol:
     return _verified(protocol, target)
 
 
-def _verified(protocol: Protocol, target: np.ndarray) -> Protocol:
+def _verified(protocol: Protocol, target: np.ndarray) -> tuple[Protocol, VerificationReport]:
     report = verify(protocol, target, 1e-7)
     if not report.passed:
         raise SynthesisResidualError(
             f"synthesized protocol misses target by {report.max_abs_error_up_to_phase:.3g}"
         )
-    return protocol
+    return protocol, report
 
 
 def phase_free_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -182,9 +187,8 @@ def verify(p: Protocol, target: np.ndarray, tolerance: float = 1e-7) -> Verifica
     """
     sim = simulate(p)
     error = phase_free_distance(sim, target)
-    content_error = float(
-        np.linalg.norm(interaction_content(sim) - interaction_content(target))
-    )
+    contents = interaction_content(np.stack([sim, np.asarray(target, dtype=complex)]))
+    content_error = float(np.linalg.norm(contents[0] - contents[1]))
     return VerificationReport(
         max_abs_error_up_to_phase=error,
         content_error=content_error,
@@ -203,19 +207,28 @@ def trajectory_check(
     times inside each drift) has its interaction content tested for
     feasibility at the elapsed time.  Early prefixes sit exactly on the
     feasibility boundary, so the comparison carries a small slack ``atol``.
+    All prefixes are built in one broadcast, since the drift is diagonal in
+    the magic basis, and their contents are taken in one stacked call.
+
+    Raises:
+        NegativeDurationError: if a segment has a negative duration.
     """
-    lam = alpha_to_lambda(p.hamiltonian_alpha)
-    u = p.opening.matrix()
-    elapsed = 0.0
-    fractions = [(k + 1) / (samples_per_segment + 1) for k in range(samples_per_segment)]
-    for seg in p.segments:
-        u = seg.local.matrix() @ u
-        for f in fractions + [1.0]:
-            partial = drift_exponential(lam, f * seg.duration) @ u
-            gamma = interaction_content(partial)
-            ok, _ = feasible(gamma, p.hamiltonian_alpha, elapsed + f * seg.duration, atol=atol)
-            if not ok:
-                return False
-        u = drift_exponential(lam, seg.duration) @ u
-        elapsed += seg.duration
-    return True
+    if not p.segments:
+        return True
+    durations = np.array([seg.duration for seg in p.segments], dtype=float)
+    if np.any(durations < 0):
+        raise NegativeDurationError(f"duration {durations[durations < 0][0]} is negative")
+    fractions = np.append(np.arange(1, samples_per_segment + 1) / (samples_per_segment + 1), 1.0)
+    into_segment = fractions * durations[:, None]
+    elapsed = np.concatenate([[0.0], np.cumsum(durations)[:-1]])[:, None] + into_segment
+    # Magic-basis drift phases for each prefix; the last column ends the segment.
+    phases = np.exp(-1j * alpha_to_lambda(p.hamiltonian_alpha) * into_segment[..., None])
+    starts = np.empty((len(p.segments), 4, 4), dtype=complex)
+    u = to_magic(p.opening.matrix())
+    for k, seg in enumerate(p.segments):
+        u = to_magic(seg.local.matrix()) @ u
+        starts[k] = u
+        u = phases[k, -1][:, None] * u
+    prefixes = from_magic(phases[..., None] * starts[:, None])
+    gamma = interaction_content(prefixes.reshape(-1, 4, 4))
+    return bool(np.all(_feasible_rows(gamma, p.hamiltonian_alpha, elapsed.ravel(), atol) >= 0))

@@ -30,8 +30,9 @@ SYMMETRY = 1e-9 * _SCALE
 
 #: Eigenvalue clustering gap of the joint diagonalizer (LAPACK ``eigh`` with a
 #: degenerate-cluster second pass).  Re(m) eigenvalues closer than this are
-#: resolved by a second ``eigh`` on Im(m); commutation makes the final residual
-#: insensitive to the exact cutoff (the residual check is authoritative).
+#: resolved by a second ``eigh`` on Re(m) + Im(m); commutation makes the final
+#: residual insensitive to the exact cutoff (the residual check is
+#: authoritative).
 CLUSTER = 1e-6
 
 #: Durations below this are dropped from synthesized protocols.

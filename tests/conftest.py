@@ -1,4 +1,6 @@
-"""Shared sampling helpers for the test suite."""
+"""Shared sampling helpers and test-local oracles for the test suite."""
+
+import itertools
 
 import numpy as np
 
@@ -53,3 +55,29 @@ def random_canonical_alpha(rng: np.random.Generator) -> np.ndarray:
         if a1 > QUARTER_PI - 1e-6 and a3 < 0:
             continue  # stay off the boundary gauge ambiguity
         return np.array([a1, a2, a3])
+
+
+# Test-local cost oracle, independent of gateforge.cost: vectorized
+# s-ordering and a feasibility scan over every shift in {-2..2}^3.
+_SHIFTS = (np.pi / 2) * np.array(list(itertools.product(range(-2, 3), repeat=3)), dtype=float)
+
+
+def _s_order_rows(m):
+    idx = np.argsort(-np.abs(m), axis=1, kind="stable")
+    out = np.take_along_axis(np.abs(m), idx, axis=1)
+    out[:, 2] *= np.sign(m[:, 0]) * np.sign(m[:, 1]) * np.sign(m[:, 2])
+    return out
+
+
+def _scan_feasible(beta, alpha, t, atol=0.0):
+    """Whether some shift of ``beta`` is s-majorized by ``alpha * t`` with
+    slack ``atol`` on each inequality."""
+    rows = _s_order_rows(beta[None, :] + _SHIFTS)
+    a = alpha * t
+    return bool(
+        np.any(
+            (rows[:, 0] <= a[0] + atol)
+            & (rows[:, 0] + rows[:, 1] - rows[:, 2] <= a[0] + a[1] - a[2] + atol)
+            & (rows[:, 0] + rows[:, 1] + rows[:, 2] <= a[0] + a[1] + a[2] + atol)
+        )
+    )

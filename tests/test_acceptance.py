@@ -3,13 +3,13 @@
 Run as ``pytest -s tests/test_acceptance.py`` to see the per-criterion lines.
 """
 
-import itertools
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from conftest import (
+    _scan_feasible,
     random_canonical_alpha,
     random_local_pair,
     random_s_ordered_alpha,
@@ -108,29 +108,6 @@ def test_criterion_03_cost_formulas():
         assert named_gate_cost("SWAP", exchange) == pytest.approx(np.pi / 4, abs=1e-12)
         assert named_gate_cost("DCNOT", exchange) == pytest.approx(np.pi / 2, abs=1e-12)
         assert named_gate_cost("SWAP", exchange) < named_gate_cost("DCNOT", exchange)
-
-
-# Test-local oracle: vectorized s-ordering and the full {-2..2}^3 shift scan.
-_SHIFTS = (np.pi / 2) * np.array(list(itertools.product(range(-2, 3), repeat=3)), dtype=float)
-
-
-def _s_order_rows(m):
-    idx = np.argsort(-np.abs(m), axis=1, kind="stable")
-    out = np.take_along_axis(np.abs(m), idx, axis=1)
-    out[:, 2] *= np.sign(m[:, 0]) * np.sign(m[:, 1]) * np.sign(m[:, 2])
-    return out
-
-
-def _scan_feasible(beta, alpha, t):
-    rows = _s_order_rows(beta[None, :] + _SHIFTS)
-    a = alpha * t
-    return bool(
-        np.any(
-            (rows[:, 0] <= a[0])
-            & (rows[:, 0] + rows[:, 1] - rows[:, 2] <= a[0] + a[1] - a[2])
-            & (rows[:, 0] + rows[:, 1] + rows[:, 2] <= a[0] + a[1] + a[2])
-        )
-    )
 
 
 def test_criterion_04_cost_equals_scan_bisection():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     random_canonical_alpha,
@@ -134,6 +135,17 @@ def test_content_of_named_gates():
     assert np.allclose(interaction_content(gates.SWAP), QUARTER_PI * np.array([1, 1, 1]), atol=1e-9)
 
 
+def test_content_next_to_a1_pi_over_8():
+    # sqrt(CNOT) with a 1e-7 error: eigenphase pairs +-pi/4 +- 2(a2 +- a3),
+    # each inside one Re(m) cluster.
+    rng = np.random.default_rng(16)
+    for a in ([np.pi / 8, 1e-7, 0.0], [np.pi / 8, 5e-8, 5e-8], [np.pi / 8, 1e-7, -3e-8]):
+        for _ in range(30):
+            left, right = random_local_pair(rng).matrix(), random_local_pair(rng).matrix()
+            got = interaction_content(left @ gate_of_alpha(np.array(a)) @ right)
+            assert np.max(np.abs(got - a)) <= 1e-9
+
+
 def test_content_of_product_gates_vanishes():
     rng = np.random.default_rng(4)
     for _ in range(50):
@@ -171,6 +183,52 @@ def test_content_of_landmark_drifts():
 def test_content_rejects_nonunitary():
     with pytest.raises(NonUnitaryError):
         interaction_content(np.ones((4, 4)))
+
+
+#: Places in the chamber pi/4 >= a1 >= a2 >= |a3| that a drawn content sits on.
+_WALLS = ("interior", "a1=a2", "a2=a3", "a2=-a3", "a3=0", "a1=pi/4", "a1=pi/4,a3<0", "a1=pi/8", "zero")
+#: Degenerate drifts whose multi-segment prefixes are drawn as well.
+_PREFIX_DRIFTS = {"ising": (1.0, 0.0, 0.0), "xy": (1.0, 1.0, 0.0), "heisenberg": (1.0, 1.0, 1.0)}
+
+
+@st.composite
+def _content_cases(draw):
+    """A dressed gate whose content is ``size`` (1e-12 .. pi/4) on a chamber
+    wall, or a prefix of a protocol under a degenerate drift."""
+    kind = draw(st.sampled_from(_WALLS + tuple(_PREFIX_DRIFTS)))
+    size = 10.0 ** draw(st.floats(-12.0, float(np.log10(QUARTER_PI))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u1, u2 = rng.random(2)
+    if kind in _PREFIX_DRIFTS:
+        lam = alpha_to_lambda(np.array(_PREFIX_DRIFTS[kind]))
+        g = random_local_pair(rng).matrix()
+        for _ in range(rng.integers(1, 4)):
+            g = drift_exponential(lam, size * rng.random()) @ random_local_pair(rng).matrix() @ g
+        return g
+    a1 = {"a1=pi/4": QUARTER_PI, "a1=pi/4,a3<0": QUARTER_PI, "a1=pi/8": QUARTER_PI / 2}.get(kind, size)
+    a2 = {"a1=a2": a1, "zero": 0.0}.get(kind, u1 * min(a1, size))
+    a3 = {"a2=a3": a2, "a2=-a3": -a2, "a3=0": 0.0, "a1=pi/4,a3<0": -u2 * a2, "zero": 0.0}.get(
+        kind, (2 * u2 - 1) * a2
+    )
+    a = np.array([0.0 if kind == "zero" else a1, a2, a3])
+    left, right = random_local_pair(rng).matrix(), random_local_pair(rng).matrix()
+    return np.exp(2j * np.pi * rng.random()) * left @ gate_of_alpha(a) @ right
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_content_cases(), min_size=1, max_size=6))
+def test_stacked_content_equals_row_by_row(gs):
+    stack = np.array(gs)
+    rows = np.array([interaction_content(g) for g in gs])
+    assert np.array_equal(interaction_content(stack), rows)
+
+
+def test_stacked_content_names_nonunitary_row():
+    rng = np.random.default_rng(12)
+    stack = np.array([random_unitary(4, rng) for _ in range(5)])
+    stack[3] = np.ones((4, 4))
+    with pytest.raises(NonUnitaryError, match="row 3"):
+        interaction_content(stack)
 
 
 # ---------------------------------------------------------------------------

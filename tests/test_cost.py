@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_canonical_alpha, random_s_ordered_alpha
+from conftest import _scan_feasible, random_canonical_alpha, random_s_ordered_alpha
 from gateforge import gates
 from gateforge.canonical import QUARTER_PI, interaction_content, s_order
 from gateforge.cost import (
@@ -36,9 +36,7 @@ def test_feasible_swap_negative_branch():
     report = interaction_cost(SWAP_BETA, alpha)
     assert report.branch == (-1, 0, 0)
     ok, n = feasible(SWAP_BETA, alpha, report.cost)
-    assert ok
-    # The scan's first hit is an equivalent shift: s-ordered it matches the
-    # optimizer's (-1,0,0) branch exactly.
+    assert ok and n == report.branch
     shifted, _ = s_order(SWAP_BETA + (np.pi / 2) * np.asarray(n))
     assert np.allclose(shifted, report.beta_used)
     # Strictly below the optimum nothing is feasible.
@@ -125,14 +123,38 @@ def test_cost_matches_bisection_oracle():
 
 def _bisect_feasible(beta, alpha, hi=20.0):
     lo = 0.0
-    assert feasible(beta, alpha, hi)[0]
+    assert _scan_feasible(beta, alpha, hi)
     for _ in range(60):
         mid = (lo + hi) / 2
-        if feasible(beta, alpha, mid)[0]:
+        if _scan_feasible(beta, alpha, mid):
             hi = mid
         else:
             lo = mid
     return hi
+
+
+def test_feasible_matches_shift_scan_oracle():
+    # The two-branch test against every shift in {-2..2}^3, with the same
+    # slack, at times straddling the optimum and far from it.
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        beta = random_canonical_alpha(rng)
+        alpha = random_s_ordered_alpha(rng)
+        cost = interaction_cost(beta, alpha).cost
+        for t in (0.0, cost * 0.5, cost * (1 - 1e-6), cost, cost * (1 + 1e-6), cost * 3):
+            for atol in (1e-10, 1e-7, -1e-3):
+                ok, branch = feasible(beta, alpha, t, atol=atol)
+                assert ok == _scan_feasible(beta, alpha, t, atol)
+                assert (branch is None) == (not ok)
+
+
+def test_feasible_rejects_noncanonical_beta():
+    # (pi/2, 0, 0) is CNOT shifted by (1,0,0); the two branches cover only
+    # canonical contents, so it is refused rather than answered False.
+    alpha = np.array([1.0, 0.5, 0.2])
+    for beta in ([2 * QUARTER_PI, 0.0, 0.0], [0.1, 0.3, 0.0], [0.3, 0.1, -0.2]):
+        with pytest.raises(BetaOutOfRangeError, match="not canonical"):
+            feasible(np.array(beta), alpha, 10.0)
 
 
 def test_cost_monotone_in_leading_alpha_components_and_scale():

@@ -156,6 +156,53 @@ def test_joint_diagonalize_near_cluster_phases():
     assert worst <= 1e-9
 
 
+def test_joint_diagonalize_clusters_around_flat_phases():
+    # theta = (c +- eps, -c +- big): Re(m) has one cluster, holding the pair
+    # c +- eps.  A second pass on Im(m) alone has zero slope on that pair at
+    # c = pi/2 (65 of these 200 matrices raised), one on Re(m) + Im(m) at
+    # c = pi/4 and -3pi/4 (56 and 61 of 200 raised); each mixed the pair and
+    # left residuals up to 1e-7.
+    rng = np.random.default_rng(13)
+    worst = 0.0
+    for c in (np.pi / 2, np.pi / 4, -3 * np.pi / 4):
+        for eps in (1e-9, 1e-8, 1e-7, 3e-7):
+            for _ in range(50):
+                o = random_proper_orthogonal(4, rng)
+                big = rng.uniform(1e-7, 1e-4)
+                theta = np.array([c + eps, c - eps, -c + big, -c - big])
+                m = o.T @ np.diag(np.exp(1j * theta)) @ o
+                o2, got = joint_diagonalize_symmetric_unitary(m)
+                worst = max(worst, np.max(np.abs(m - o2.T @ np.diag(np.exp(1j * got)) @ o2)))
+    assert worst <= 1e-9
+
+
+def test_joint_diagonalize_stack_equals_row_by_row():
+    # Generic, degenerate (cluster second pass) and near-cluster phases in one
+    # stack; each row must come out exactly as it does alone.
+    rng = np.random.default_rng(14)
+    stack = []
+    for phases in ([0.3, 0.1, -0.2, -0.2], [1.0, 1.0, -1.0, -1.0], [0.5, 0.5, 0.5, 0.5], [0.7, -0.7 + 3e-6, 2.0, -2.0]):
+        o = random_proper_orthogonal(4, rng)
+        stack.append(o.T @ np.diag(np.exp(1j * np.array(phases))) @ o)
+    stack = np.array(stack + [stack[0]])
+    o_all, theta_all = joint_diagonalize_symmetric_unitary(stack)
+    assert o_all.shape == (5, 4, 4) and theta_all.shape == (5, 4)
+    for k, m in enumerate(stack):
+        o_k, theta_k = joint_diagonalize_symmetric_unitary(m)
+        assert np.array_equal(o_all[k], o_k) and np.array_equal(theta_all[k], theta_k)
+
+
+def test_joint_diagonalize_stack_names_failing_row():
+    stack = np.array([np.eye(4, dtype=complex)] * 3)
+    stack[2, 0, 1] = 0.5
+    with pytest.raises(NotSymmetricError, match="row 2"):
+        joint_diagonalize_symmetric_unitary(stack)
+    stack = np.array([np.eye(4, dtype=complex)] * 3)
+    stack[1] *= 1.1
+    with pytest.raises(NonUnitaryError, match="row 1"):
+        joint_diagonalize_symmetric_unitary(stack)
+
+
 def test_joint_diagonalize_rejects_asymmetric():
     m = np.eye(4, dtype=complex)
     m[0, 1], m[1, 0] = 0.6, -0.6

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    _scan_feasible,
     random_local_pair,
     random_s_ordered_alpha,
     random_unitary,
@@ -16,10 +17,11 @@ from gateforge.canonical import (
     interaction_content,
 )
 from gateforge.cost import interaction_cost
-from gateforge.errors import InfeasibleError
+from gateforge.errors import InfeasibleError, NegativeDurationError
 from gateforge.linalg import LocalUnitaryPair, drift_exponential, is_unitary
 from gateforge.protocol import (
     Protocol,
+    _synthesize,
     Segment,
     phase_free_distance,
     simulate,
@@ -128,6 +130,14 @@ def test_synthesize_round_trip_random():
         assert abs(p.total_time - expected) <= 1e-10
 
 
+def test_synthesize_self_check_report_is_verify_report():
+    rng = np.random.default_rng(10)
+    for _ in range(5):
+        g = random_unitary(4, rng)
+        p, report = _synthesize(g, random_s_ordered_alpha(rng))
+        assert report == verify(p, g, 1e-7)
+
+
 def test_synthesize_requires_s_ordered_alpha():
     with pytest.raises(ValueError):
         synthesize(gates.CNOT, np.array([0.0, 1.0, 0.0]))
@@ -176,6 +186,73 @@ def test_trajectory_check_random_protocols():
     rng = np.random.default_rng(3)
     for _ in range(20):
         assert trajectory_check(random_protocol(rng, max_segments=6))
+
+
+def _reference_trajectory_check(p, samples_per_segment=4, atol=1e-7):
+    """Prefix by prefix, as a loop: each prefix's content on its own, tested
+    by the {-2..2}^3 shift-scan oracle at the elapsed time."""
+    lam = alpha_to_lambda(p.hamiltonian_alpha)
+    u = p.opening.matrix()
+    elapsed = 0.0
+    fractions = [(k + 1) / (samples_per_segment + 1) for k in range(samples_per_segment)]
+    for seg in p.segments:
+        u = seg.local.matrix() @ u
+        for f in fractions + [1.0]:
+            gamma = interaction_content(drift_exponential(lam, f * seg.duration) @ u)
+            if not _scan_feasible(gamma, p.hamiltonian_alpha, elapsed + f * seg.duration, atol):
+                return False
+        u = drift_exponential(lam, seg.duration) @ u
+        elapsed += seg.duration
+    return True
+
+
+@pytest.mark.parametrize(
+    "drift",
+    [(1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (1.0, 1.0, 1.0), (1.0, 1.0, -1.0), (1.0, 0.5, -0.2), None],
+    ids=["ising", "xy", "heisenberg", "negative_heisenberg", "anisotropic", "random"],
+)
+def test_trajectory_check_matches_scan_reference(drift):
+    # atol -1e-3 pushes every prefix on the reachability boundary (the first
+    # one always is) out of reach, so the False path is covered as well.
+    rng = np.random.default_rng(8)
+    seen = set()
+    for k in range(12):
+        alpha = random_s_ordered_alpha(rng) if drift is None else np.array(drift)
+        p = random_protocol(rng, max_segments=6, alpha=alpha)
+        if k % 3 == 0:
+            durations = [0.0 if rng.random() < 0.5 else seg.duration for seg in p.segments]
+            p = Protocol(p.opening, tuple(Segment(seg.local, d) for seg, d in zip(p.segments, durations)),
+                         p.closing, alpha, p.global_phase)
+        samples = int(rng.integers(0, 5))
+        for atol in (1e-7, -1e-3):
+            got = trajectory_check(p, samples, atol)
+            assert got == _reference_trajectory_check(p, samples, atol)
+            seen.add(got)
+    assert seen == {True, False}
+    empty = empty_protocol(np.array(drift if drift is not None else (1.0, 0.5, 0.2)))
+    assert trajectory_check(empty, atol=-1e-3) == _reference_trajectory_check(empty, atol=-1e-3) is True
+
+
+def test_trajectory_check_rejects_negative_duration():
+    p = Protocol(LocalUnitaryPair.identity(), (Segment(LocalUnitaryPair.identity(), -0.1),),
+                 LocalUnitaryPair.identity(), np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(NegativeDurationError):
+        trajectory_check(p)
+
+
+def test_synthesize_weak_targets_across_decades():
+    # Contents of 1e-8 .. 1e-5 under random drifts: the Birkhoff certificate
+    # used absolute thresholds and raised NoTripleFoundError on most of them.
+    rng = np.random.default_rng(9)
+    for size in (1e-8, 1e-7, 1e-6, 1e-5):
+        for _ in range(8):
+            alpha = random_s_ordered_alpha(rng)
+            a = np.sort(rng.uniform(0.0, 1.0, size=3))[::-1] * size
+            a[2] *= rng.choice([-1.0, 1.0])
+            target = random_local_pair(rng).matrix() @ drift_exponential(alpha_to_lambda(a), 1.0) @ random_local_pair(rng).matrix()
+            p = synthesize(target, alpha)
+            assert verify(p, target, 1e-7).passed
+            assert abs(p.total_time - interaction_cost(interaction_content(target), alpha).cost) <= 1e-12
 
 
 def test_coupling_conjugators_give_three_finite_steps():
