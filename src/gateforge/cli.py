@@ -1,14 +1,19 @@
-"""Command-line interface: gate and Hamiltonian loading, JSON serialization
-of protocols and reports, and batch processing.
+"""Command-line interface: one request path for the subcommands and for
+``batch``, and JSON serialization of gates, protocols and reports.
+
+Every subcommand builds the same request object that a ``batch`` line
+carries (``_request``: one flag, one field), and one runner (``_run``)
+validates and answers both.  Only writing ``synth``'s protocol to ``--out``,
+alpha-reorder warnings and exit codes belong to the subcommands.
 
 External formats
 ----------------
 Gate matrices enter as JSON: a flat list of 16 ``[re, im]`` pairs, row-major,
 computational basis ordered |00>, |01>, |10>, |11> (pass ``reversed`` to load
 files written in the opposite |11>..|00> ordering; entries are mirrored on
-load).  Hamiltonians enter as an ``--alpha`` 3-vector (s-ordered on input,
-with a warning when reordering was needed) or as a 3x3 coupling-matrix JSON
-file routed through the canonicalizer.  Protocol files are JSON with fields
+load).  Hamiltonians enter as an ``alpha`` 3-vector (s-ordered on input,
+the subcommands warn when reordering was needed) or as a 3x3 coupling matrix
+routed through the canonicalizer.  Protocol files are JSON with fields
 ``hamiltonian_alpha``, ``opening``, ``segments`` (each
 ``{u_a, u_b, phase, duration}``), ``closing``, ``global_phase`` and
 ``total_time``; complex numbers are ``[re, im]`` pairs.  All numeric output
@@ -30,12 +35,7 @@ import numpy as np
 
 from . import comm, cost, gates, protocol, tolerances
 from .canonical import alpha_to_lambda, hamiltonian_canonical, interaction_content, kak_decompose, s_order
-from .errors import (
-    GateforgeError,
-    InfeasibleError,
-    NonUnitaryError,
-    ValidationError,
-)
+from .errors import GateforgeError, InfeasibleError, NonUnitaryError, ValidationError
 from .linalg import LocalUnitaryPair, is_unitary
 
 EXIT_OK = 0
@@ -131,17 +131,31 @@ def protocol_from_json(obj: dict) -> protocol.Protocol:
         opening=_pair_from_json(obj["opening"]),
         segments=segments,
         closing=_pair_from_json(obj["closing"]),
-        hamiltonian_alpha=np.asarray(obj["hamiltonian_alpha"], dtype=float),
+        hamiltonian_alpha=_reals(
+            obj["hamiltonian_alpha"], (3,), "hamiltonian_alpha must be a finite 3-vector"
+        ),
         global_phase=_complex_from(obj["global_phase"]),
     )
 
 
 # ---------------------------------------------------------------------------
-# Input parsing.
+# Request fields: gates, Hamiltonians, tolerances.
 # ---------------------------------------------------------------------------
 
 def _angle_scale(degrees: bool) -> float:
     return math.pi / 180.0 if degrees else 1.0
+
+
+def _reals(value, shape: tuple, message: str) -> np.ndarray:
+    """``value`` as a float array of ``shape`` with finite entries; anything
+    else raises ``ValidationError(message)``."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(message) from None
+    if a.shape != shape or not np.isfinite(a).all():
+        raise ValidationError(message)
+    return a
 
 
 def _parse_floats(text: str, n: int, what: str) -> list[float]:
@@ -149,23 +163,35 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
     if len(parts) != n:
         raise ValidationError(f"{what} needs {n} comma-separated numbers")
     try:
-        values = [float(p) for p in parts]
+        return [float(p) for p in parts]
     except ValueError as exc:
         raise ValidationError(f"bad number in {what}: {exc}") from None
-    if not all(math.isfinite(v) for v in values):
-        raise ValidationError(f"{what} entries must be finite")
-    return values
+
+
+def _read_json(path: str, what: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what}: {exc}") from None
+    except ValueError as exc:  # also undecodable bytes
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from None
+
+
+def _field(line: dict, key: str):
+    if key not in line:
+        raise ValidationError(f"{line['cmd']} needs a {key!r} field")
+    return line[key]
 
 
 def _matrix_from_entries(entries, order: str) -> np.ndarray:
     """Loads a 4x4 gate, admitting it if unitary to the RESIDUAL tier and then
     projecting it onto the nearest unitary, so that matrices rounded to this
     module's own 10-digit output meet the library's STRUCTURAL tier."""
-    if len(entries) != 16:
-        raise ValidationError("matrix spec needs exactly 16 [re, im] entries")
-    m = np.array([_complex_from(e) for e in entries]).reshape(4, 4)
+    pairs = _reals(entries, (16, 2), "matrix must be 16 finite [re, im] pairs")
+    m = pairs.view(complex).reshape(4, 4)  # each [re, im] row is one complex
     if order == "reversed":
-        m = m[::-1, ::-1].copy()
+        m = m[::-1, ::-1]
     elif order != "standard":
         raise ValidationError(f"unknown basis order {order!r}")
     if not is_unitary(m, tolerances.RESIDUAL):
@@ -173,124 +199,83 @@ def _matrix_from_entries(entries, order: str) -> np.ndarray:
     return _closest_unitary(m)
 
 
-def _load_matrix_file(path: str, order: str | None) -> np.ndarray:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read matrix file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"matrix file is not valid JSON: {exc}") from None
-    if isinstance(data, dict):
-        entries = data.get("matrix")
-        file_order = data.get("order", "standard")
-    else:
-        entries, file_order = data, "standard"
-    if entries is None:
-        raise ValidationError("matrix file must contain a 'matrix' field or a bare list")
-    return _matrix_from_entries(entries, order or file_order)
+def _matrix_file(path: str, order: str | None = None) -> dict:
+    """The gate object of a matrix file, which holds a bare entry list or
+    ``{"matrix": [...], "order": ...}``; ``order`` overrides the file's."""
+    data = _read_json(path, "matrix file")
+    if not isinstance(data, dict):
+        data = {"matrix": data}
+    return {"matrix": data.get("matrix"), "order": order or data.get("order", "standard")}
 
 
-def parse_gate_spec(spec: str, degrees: bool = False, order: str | None = None) -> np.ndarray:
-    """Gate mini-language: a registry name, ``CONTROLLED_U:beta``,
-    ``FAMILY:eta,theta,omega``, or ``FILE:path``."""
+def _gate(line: dict, key: str, degrees: bool) -> np.ndarray:
+    """Resolves the gate in field ``key``.
+
+    A gate is an object with one of ``named``, ``controlled_u`` (beta),
+    ``family`` ([eta, theta, omega]) or ``matrix`` (16 ``[re, im]`` entries,
+    optional ``order``), or a spec string for one of them: a registry name,
+    ``CONTROLLED_U:beta``, ``FAMILY:eta,theta,omega`` or ``FILE:path``.
+    """
+    spec = _field(line, key)
+    if isinstance(spec, str):
+        head, _, rest = spec.partition(":")
+        name = head.strip().upper()
+        if name == "CONTROLLED_U":
+            spec = {"controlled_u": _parse_floats(rest, 1, "controlled-U parameter")[0]}
+        elif name == "FAMILY":
+            spec = {"family": _parse_floats(rest, 3, "family angles")}
+        elif name == "FILE":
+            spec = _matrix_file(rest.strip())
+        else:
+            spec = {"named": name}
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{key} must be a gate spec string or object")
     scale = _angle_scale(degrees)
-    head, _, rest = spec.partition(":")
-    key = head.strip().upper()
-    if key == "CONTROLLED_U":
-        (beta,) = _parse_floats(rest, 1, "controlled-U parameter")
-        return gates.named_gate("CONTROLLED_U", beta=beta * scale)
-    if key == "FAMILY":
-        eta, theta, omega = (x * scale for x in _parse_floats(rest, 3, "family angles"))
+    if "named" in spec:
+        if not isinstance(spec["named"], str):
+            raise ValidationError("named must be a gate name string")
+        return gates.named_gate(spec["named"])
+    if "controlled_u" in spec:
+        beta = _reals(spec["controlled_u"], (), "controlled_u must be a finite number")
+        return gates.named_gate("CONTROLLED_U", beta=float(beta) * scale)
+    if "family" in spec:
+        eta, theta, omega = _reals(spec["family"], (3,), "family must be 3 finite angles") * scale
         return comm.family_gate(eta, theta, omega)
-    if key == "FILE":
-        return _load_matrix_file(rest.strip(), order)
-    return gates.named_gate(key)
+    if "matrix" in spec:
+        return _matrix_from_entries(spec["matrix"], spec.get("order", "standard"))
+    raise ValidationError(f"{key} needs one of 'named', 'controlled_u', 'family' or 'matrix'")
 
 
-def _gate_from_args(args) -> np.ndarray:
-    if getattr(args, "matrix_file", None):
-        return _load_matrix_file(args.matrix_file, args.matrix_order)
-    if getattr(args, "gate", None):
-        return parse_gate_spec(args.gate, args.degrees, getattr(args, "matrix_order", None))
-    raise ValidationError("no gate given: pass --gate or --matrix-file")
-
-
-def _gate_from_batch(obj, degrees: bool) -> np.ndarray:
-    if isinstance(obj, str):
-        return parse_gate_spec(obj, degrees)
-    if isinstance(obj, dict):
-        if "named" in obj:
-            return gates.named_gate(obj["named"])
-        if "controlled_u" in obj:
-            scale = _angle_scale(degrees)
-            return gates.named_gate("CONTROLLED_U", beta=float(obj["controlled_u"]) * scale)
-        if "family" in obj:
-            scale = _angle_scale(degrees)
-            eta, theta, omega = (float(x) * scale for x in obj["family"])
-            return comm.family_gate(eta, theta, omega)
-        if "matrix" in obj:
-            return _matrix_from_entries(obj["matrix"], obj.get("order", "standard"))
-    raise ValidationError("unrecognized gate spec in batch line")
-
-
-def _load_coupling_file(path: str, degrees: bool) -> np.ndarray:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read coupling file: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"coupling file is not valid JSON: {exc}") from None
-    if isinstance(data, dict):
-        data = data.get("coupling")
-    c = np.asarray(data, dtype=float)
-    if c.shape != (3, 3) or not np.all(np.isfinite(c)):
-        raise ValidationError("coupling must be a finite 3x3 real matrix")
-    return c * _angle_scale(degrees)
-
-
-def _ham_from_args(args) -> tuple[np.ndarray, LocalUnitaryPair | None, list[str]]:
-    """Returns (s-ordered alpha, conjugator pair for coupling input, warnings)."""
-    warnings: list[str] = []
-    if getattr(args, "coupling_file", None):
-        c = _load_coupling_file(args.coupling_file, args.degrees)
-        alpha, pair = hamiltonian_canonical(c)
-        return alpha, pair, warnings
-    if getattr(args, "alpha", None):
-        raw = np.array(_parse_floats(args.alpha, 3, "--alpha")) * _angle_scale(args.degrees)
-        ordered, _ = s_order(raw)
-        if np.max(np.abs(ordered - raw)) > 0:
-            warnings.append(f"alpha reordered to s-ordered form {_json_vector(ordered)}")
-        return ordered, None, warnings
-    raise ValidationError("no Hamiltonian given: pass --alpha or --coupling-file")
-
-
-def _ham_from_batch(line: dict, degrees: bool) -> tuple[np.ndarray, LocalUnitaryPair | None]:
-    """Reads the Hamiltonian spec off a batch line: ``alpha`` or ``coupling``."""
+def _hamiltonian(line: dict, degrees: bool) -> tuple[np.ndarray, LocalUnitaryPair | None]:
+    """The s-ordered drift of a request, from ``coupling`` (a 3x3 matrix,
+    canonicalized; its conjugator pair is returned too) or ``alpha``."""
     scale = _angle_scale(degrees)
     if "coupling" in line:
-        c = np.asarray(line["coupling"], dtype=float) * scale
-        if c.shape != (3, 3) or not np.all(np.isfinite(c)):
-            raise ValidationError("coupling must be a finite 3x3 real matrix")
-        return hamiltonian_canonical(c)
+        c = _reals(line["coupling"], (3, 3), "coupling must be a finite 3x3 real matrix")
+        return hamiltonian_canonical(c * scale)
     if "alpha" in line:
-        raw = np.asarray(line["alpha"], dtype=float) * scale
-        if raw.shape != (3,) or not np.all(np.isfinite(raw)):
-            raise ValidationError("alpha must be a finite 3-vector")
-        ordered, _ = s_order(raw)
-        return ordered, None
-    raise ValidationError("batch line needs an 'alpha' or 'coupling' field")
+        raw = _reals(line["alpha"], (3,), "alpha must be a finite 3-vector")
+        return s_order(raw * scale)[0], None
+    raise ValidationError(f"{line['cmd']} needs an 'alpha' or 'coupling' field")
+
+
+def _tolerance(line: dict, key: str, default: float) -> float:
+    message = f"{key} must be a finite non-negative number"
+    tol = float(_reals(line.get(key, default), (), message))
+    if tol < 0:
+        raise ValidationError(message)
+    return tol
 
 
 # ---------------------------------------------------------------------------
-# Command bodies (shared by argparse handlers and batch mode).
+# Commands: each runs one request object and returns its result object.
 # ---------------------------------------------------------------------------
 
-def _run_canon(gate: np.ndarray, full: bool) -> dict:
+def _run_canon(line: dict, degrees: bool) -> dict:
+    gate = _gate(line, "gate", degrees)
     alpha = interaction_content(gate)
     out = {"alpha": _json_vector(alpha), "lambda": _json_vector(alpha_to_lambda(alpha))}
-    if full:
+    if line.get("full"):
         kak = kak_decompose(gate)
         out["kak"] = {
             "post_local": _pair_to_json(kak.post_local),
@@ -302,35 +287,18 @@ def _run_canon(gate: np.ndarray, full: bool) -> dict:
     return out
 
 
-def _cost_report_json(report: cost.CostReport) -> dict:
+def _run_cost(line: dict, degrees: bool) -> dict:
+    alpha = _hamiltonian(line, degrees)[0]
+    beta = interaction_content(_gate(line, "gate", degrees))
+    report = cost.interaction_cost(beta, alpha)
     return {
         "cost": None if report.infeasible else _sig(report.cost),
         "infeasible": report.infeasible,
         "branch": list(report.branch),
         "beta_used": _json_vector(report.beta_used),
+        "beta": _json_vector(beta),
+        "alpha": _json_vector(alpha),
     }
-
-
-def _run_cost(gate: np.ndarray, alpha: np.ndarray) -> dict:
-    beta = interaction_content(gate)
-    report = cost.interaction_cost(beta, alpha)
-    out = _cost_report_json(report)
-    out["beta"] = _json_vector(beta)
-    out["alpha"] = _json_vector(alpha)
-    return out
-
-
-def _run_synth(gate: np.ndarray, alpha: np.ndarray, pair: LocalUnitaryPair | None) -> tuple[dict, dict]:
-    p, report = protocol._synthesize(gate, alpha)
-    summary = {
-        "total_time": _sig(p.total_time),
-        "segments": len(p.segments),
-        "hamiltonian_alpha": _json_vector(alpha),
-        "verification": _verification_json(report),
-    }
-    if pair is not None:
-        summary["coupling_conjugators"] = _pair_to_json(pair)
-    return protocol_to_json(p), summary
 
 
 def _verification_json(report: protocol.VerificationReport) -> dict:
@@ -342,55 +310,98 @@ def _verification_json(report: protocol.VerificationReport) -> dict:
     }
 
 
-def _run_classify(gate: np.ndarray, class_tol: float) -> dict:
-    beta = interaction_content(gate)
-    cls = comm.classify(beta, atol=class_tol)
+def _run_synth(line: dict, degrees: bool) -> dict:
+    alpha, pair = _hamiltonian(line, degrees)
+    p, report = protocol._synthesize(_gate(line, "gate", degrees), alpha)
+    out = {
+        "total_time": _sig(p.total_time),
+        "segments": len(p.segments),
+        "hamiltonian_alpha": _json_vector(alpha),
+        "verification": _verification_json(report),
+    }
+    if pair is not None:
+        out["coupling_conjugators"] = _pair_to_json(pair)
+    out["protocol"] = protocol_to_json(p)
+    return out
+
+
+def _run_verify(line: dict, degrees: bool) -> dict:
+    try:
+        p = protocol_from_json(_field(line, "protocol"))
+    except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
+        raise ValidationError(f"cannot load protocol: {exc}") from None
+    report = protocol.verify(p, _gate(line, "gate", degrees), _tolerance(line, "tolerance", 1e-7))
+    return _verification_json(report)
+
+
+def _run_classify(line: dict, degrees: bool) -> dict:
+    beta = interaction_content(_gate(line, "gate", degrees))
+    cls = comm.classify(beta, atol=_tolerance(line, "class_tol", tolerances.BOUNDARY))
     row = comm.capability_row(cls)
-    marks = " ".join("✓" if ok else "×" for ok in row)
     return {
         "class": cls.value,
         "beta": _json_vector(beta),
         "capabilities": sorted(task.value for task in comm.capabilities(cls)),
-        "row": marks,
+        "row": " ".join("✓" if ok else "×" for ok in row),
     }
 
 
-def _run_commcost(task: comm.CommTask, alpha: np.ndarray) -> dict:
-    report = comm.task_cost(task, alpha)
+def _run_commcost(line: dict, degrees: bool) -> dict:
+    task = _field(line, "task")
+    if task not in _TASKS:
+        raise ValidationError(f"task must be one of {', '.join(_TASKS)}")
+    report = comm.task_cost(comm.CommTask(task), _hamiltonian(line, degrees)[0])
     return {
-        "task": task.value,
+        "task": task,
         "cost": _sig(report.cost),
         "optimal_beta": _json_vector(report.optimal_beta),
         "realizing_gate_hint": report.realizing_gate_hint,
     }
 
 
-def _run_order(gate_u: np.ndarray, gate_v: np.ndarray) -> dict:
-    beta_u = interaction_content(gate_u)
-    beta_v = interaction_content(gate_v)
-    verdict = cost.partial_order(beta_u, beta_v)
+def _run_order(line: dict, degrees: bool) -> dict:
+    beta_u = interaction_content(_gate(line, "gate_u", degrees))
+    beta_v = interaction_content(_gate(line, "gate_v", degrees))
     return {
-        "verdict": verdict.value,
+        "verdict": cost.partial_order(beta_u, beta_v).value,
         "beta_u": _json_vector(beta_u),
         "beta_v": _json_vector(beta_v),
     }
 
 
+_TASKS = [t.value for t in comm.CommTask]
+_COMMANDS = {
+    "canon": _run_canon,
+    "cost": _run_cost,
+    "synth": _run_synth,
+    "verify": _run_verify,
+    "classify": _run_classify,
+    "commcost": _run_commcost,
+    "order": _run_order,
+}
+
+
+def _run(line, degrees: bool) -> dict:
+    """Runs one request: a batch line, or a subcommand's flags as
+    :func:`_request` writes them."""
+    if not isinstance(line, dict):
+        raise ValidationError("a batch line must be a JSON object")
+    cmd = line.get("cmd")
+    if not isinstance(cmd, str) or cmd not in _COMMANDS:
+        raise ValidationError(f"unknown command {cmd!r}")
+    return _COMMANDS[cmd](line, degrees)
+
+
 # ---------------------------------------------------------------------------
-# argparse wiring.
+# argparse wiring: each subcommand flag maps to one request field.
 # ---------------------------------------------------------------------------
 
-def _emit(obj: dict) -> None:
-    print(json.dumps(obj))
-
-
-def _add_gate_flags(sub, required: bool = True) -> None:
+def _add_gate_flags(sub) -> None:
     sub.add_argument("--gate", help="named gate, CONTROLLED_U:beta, FAMILY:e,t,o, or FILE:path")
     sub.add_argument("--matrix-file", help="JSON matrix file (16 [re,im] entries, row-major)")
     sub.add_argument(
         "--matrix-order",
         choices=["standard", "reversed"],
-        default=None,
         help="basis ordering of a matrix file: standard |00>..|11> or reversed |11>..|00>",
     )
 
@@ -437,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     commcost = commands.add_parser("commcost", help="optimal content and cost of a transmission task")
-    commcost.add_argument("--task", required=True, choices=[t.value for t in comm.CommTask])
+    commcost.add_argument("--task", required=True, choices=_TASKS)
     _add_ham_flags(commcost)
 
     order_cmd = commands.add_parser("order", help="absolute non-locality comparison of two gates")
@@ -449,86 +460,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args) -> int:
-    if args.command == "canon":
-        _emit(_run_canon(_gate_from_args(args), args.full))
-        return EXIT_OK
-    if args.command == "cost":
-        alpha, _, warnings = _ham_from_args(args)
-        for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        out = _run_cost(_gate_from_args(args), alpha)
-        _emit(out)
-        return EXIT_INFEASIBLE if out["infeasible"] else EXIT_OK
-    if args.command == "synth":
-        alpha, pair, warnings = _ham_from_args(args)
-        for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        proto_json, summary = _run_synth(_gate_from_args(args), alpha, pair)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(proto_json, fh, indent=2)
-            fh.write("\n")
-        summary["protocol_file"] = args.out
-        _emit(summary)
-        return EXIT_OK if summary["verification"]["passed"] else EXIT_RESIDUAL
-    if args.command == "verify":
-        try:
-            with open(args.protocol, encoding="utf-8") as fh:
-                p = protocol_from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ValidationError(f"cannot load protocol: {exc}") from None
-        report = protocol.verify(p, _gate_from_args(args), args.tolerance)
-        _emit(_verification_json(report))
-        return EXIT_OK if report.passed else EXIT_RESIDUAL
-    if args.command == "classify":
-        _emit(_run_classify(_gate_from_args(args), args.class_tol))
-        return EXIT_OK
-    if args.command == "commcost":
-        alpha, _, warnings = _ham_from_args(args)
-        for w in warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        _emit(_run_commcost(comm.CommTask(args.task), alpha))
-        return EXIT_OK
-    if args.command == "order":
-        gate_u = parse_gate_spec(args.gate_u, args.degrees)
-        gate_v = parse_gate_spec(args.gate_v, args.degrees)
-        _emit(_run_order(gate_u, gate_v))
-        return EXIT_OK
-    if args.command == "batch":
-        return _run_batch(args)
-    raise ValidationError(f"unknown command {args.command!r}")
-
-
-def _batch_line(obj: dict, degrees: bool) -> dict:
-    cmd = obj.get("cmd")
-    if cmd == "canon":
-        return _run_canon(_gate_from_batch(obj.get("gate"), degrees), bool(obj.get("full")))
-    if cmd == "cost":
-        alpha, _ = _ham_from_batch(obj, degrees)
-        return _run_cost(_gate_from_batch(obj.get("gate"), degrees), alpha)
-    if cmd == "classify":
-        tol = float(obj.get("class_tol", tolerances.BOUNDARY))
-        return _run_classify(_gate_from_batch(obj.get("gate"), degrees), tol)
-    if cmd == "commcost":
-        alpha, _ = _ham_from_batch(obj, degrees)
-        return _run_commcost(comm.CommTask(obj["task"]), alpha)
-    if cmd == "order":
-        return _run_order(
-            _gate_from_batch(obj.get("gate_u"), degrees),
-            _gate_from_batch(obj.get("gate_v"), degrees),
-        )
-    if cmd == "synth":
-        alpha, pair = _ham_from_batch(obj, degrees)
-        proto_json, summary = _run_synth(_gate_from_batch(obj.get("gate"), degrees), alpha, pair)
-        summary["protocol"] = proto_json
-        return summary
-    if cmd == "verify":
-        p = protocol_from_json(obj["protocol"])
-        report = protocol.verify(
-            p, _gate_from_batch(obj.get("gate"), degrees), float(obj.get("tolerance", 1e-7))
-        )
-        return _verification_json(report)
-    raise ValidationError(f"unknown batch command {cmd!r}")
+def _request(args: argparse.Namespace) -> dict:
+    """The batch line that a subcommand's flags stand for.  Files named by
+    flags are read here; a matrix file becomes a ``matrix`` gate object."""
+    flags = vars(args)
+    line = {"cmd": args.command}
+    for key in ("full", "class_tol", "task", "gate_u", "gate_v", "tolerance"):
+        if key in flags:
+            line[key] = flags[key]
+    head, _, rest = (flags.get("gate") or "").partition(":")
+    if flags.get("matrix_file") or head.strip().upper() == "FILE":
+        line["gate"] = _matrix_file(flags["matrix_file"] or rest.strip(), flags["matrix_order"])
+    elif flags.get("gate"):
+        line["gate"] = flags["gate"]
+    if flags.get("coupling_file"):
+        data = _read_json(flags["coupling_file"], "coupling file")
+        line["coupling"] = data.get("coupling") if isinstance(data, dict) else data
+    elif flags.get("alpha"):
+        line["alpha"] = _parse_floats(flags["alpha"], 3, "--alpha")
+    if flags.get("protocol"):
+        line["protocol"] = _read_json(flags["protocol"], "protocol file")
+    return line
 
 
 def _run_batch(args) -> int:
@@ -540,32 +492,47 @@ def _run_batch(args) -> int:
                 lines = fh.readlines()
         except OSError as exc:
             raise ValidationError(f"cannot read batch file: {exc}") from None
-    for line in lines:
-        line = line.strip()
-        if not line:
+    for text in lines:
+        text = text.strip()
+        if not text:
             continue
         try:
-            obj = json.loads(line)
-            result = _batch_line(obj, args.degrees)
-            print(json.dumps({"ok": True, "result": result}))
+            out = {"ok": True, "result": _run(json.loads(text), args.degrees)}
         except (GateforgeError, ValueError, KeyError, TypeError) as exc:
-            print(json.dumps({"ok": False, "error": str(exc)}))
+            out = {"ok": False, "error": str(exc)}
+        print(json.dumps(out))
     return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
-    except (ValidationError, NonUnitaryError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_VALIDATION
-    except InfeasibleError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_INFEASIBLE
+        if args.command == "batch":
+            return _run_batch(args)
+        line = _request(args)
+        if "alpha" in line:
+            ordered = _hamiltonian(line, args.degrees)[0]
+            if np.any(ordered != np.multiply(line["alpha"], _angle_scale(args.degrees))):
+                warning = f"alpha reordered to s-ordered form {_json_vector(ordered)}"
+                print(f"warning: {warning}", file=sys.stderr)
+        result = _run(line, args.degrees)
+        if args.command == "synth":
+            proto = result.pop("protocol")
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(json.dumps(proto, indent=2) + "\n")
+            except OSError as exc:
+                raise ValidationError(f"cannot write protocol file: {exc}") from None
+            result["protocol_file"] = args.out
     except GateforgeError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_RESIDUAL
+        if isinstance(exc, ValidationError):
+            return EXIT_VALIDATION
+        return EXIT_INFEASIBLE if isinstance(exc, InfeasibleError) else EXIT_RESIDUAL
+    print(json.dumps(result))
+    if result.get("infeasible"):
+        return EXIT_INFEASIBLE
+    return EXIT_OK if result.get("verification", result).get("passed", True) else EXIT_RESIDUAL
 
 
 if __name__ == "__main__":

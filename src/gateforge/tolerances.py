@@ -29,10 +29,11 @@ BOUNDARY = 1e-9 * _SCALE
 SYMMETRY = 1e-9 * _SCALE
 
 #: Eigenvalue clustering gap of the joint diagonalizer (LAPACK ``eigh`` with a
-#: degenerate-cluster second pass).  Re(m) eigenvalues closer than this are
-#: resolved by a second ``eigh`` on Re(m) + Im(m); commutation makes the final
-#: residual insensitive to the exact cutoff (the residual check is
-#: authoritative).
+#: degenerate-cluster second pass).  A run of Re(m) eigenvalues whose
+#: neighbours lie closer than this is resolved by a second ``eigh`` on the
+#: restriction of Im(m), or of Im(m) - Re(m) where the cluster's Re(m)
+#: eigenvalue d has |d| < 1/2; commutation makes the final residual
+#: insensitive to the exact cutoff (the residual check is authoritative).
 CLUSTER = 1e-6
 
 #: Durations below this are dropped from synthesized protocols.

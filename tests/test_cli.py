@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_unitary
 from gateforge import gates
@@ -12,10 +13,12 @@ from gateforge.cli import (
     EXIT_OK,
     EXIT_RESIDUAL,
     EXIT_VALIDATION,
+    _run,
     main,
     protocol_from_json,
     protocol_to_json,
 )
+from gateforge.errors import GateforgeError
 from gateforge.protocol import synthesize, verify
 
 # Computational-basis CNOT printed in the reversed |11>,|10>,|01>,|00> order.
@@ -30,6 +33,14 @@ def run_cli(capsys, *argv):
 
 def last_json(out):
     return json.loads(out.strip().splitlines()[-1])
+
+
+def run_batch(capsys, tmp_path, lines, *flags):
+    path = tmp_path / "lines.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    code, out, _ = run_cli(capsys, *flags, "batch", "--input", str(path))
+    assert code == EXIT_OK
+    return [json.loads(line) for line in out.splitlines()]
 
 
 def test_canon_cnot(capsys):
@@ -338,14 +349,61 @@ def test_batch_empty_file(capsys, tmp_path):
 
 
 def test_batch_malformed_line_does_not_abort(capsys, tmp_path):
+    bad = {
+        "not json": "Expecting value",
+        "3": "must be a JSON object",
+        "[1,2]": "must be a JSON object",
+        '{"cmd": "canon", "gate": {"named": 3}}': "named must be a gate name string",
+        '{"cmd": "canon", "gate": {"matrix": [1]}}': "matrix must be 16 finite [re, im] pairs",
+    }
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"cmd": "canon", "gate": "CNOT"}\nnot json\n{"cmd": "canon", "gate": "SWAP"}\n')
+    good = ['{"cmd": "canon", "gate": "CNOT"}', '{"cmd": "canon", "gate": "SWAP"}']
+    path.write_text("\n".join([good[0], *bad, good[1]]) + "\n")
     code, out, _ = run_cli(capsys, "batch", "--input", str(path))
     assert code == EXIT_OK
     results = [json.loads(line) for line in out.strip().splitlines()]
-    assert len(results) == 3
-    assert results[0]["ok"] and results[2]["ok"]
-    assert not results[1]["ok"]
+    assert len(results) == 2 + len(bad)
+    assert results[0]["ok"] and results[-1]["ok"]
+    for result, message in zip(results[1:-1], bad.values()):
+        assert not result["ok"]
+        assert message in result["error"]
+
+
+def test_ragged_coupling_is_a_validation_error(capsys, tmp_path):
+    ragged = [[1, 0], [0, 1, 2]]
+    path = tmp_path / "c.json"
+    for coupling in (ragged, [[1, 0, 0], [0, "x", 0], [0, 0, 1]], [[1, 0, 0]] * 2):
+        path.write_text(json.dumps(coupling))
+        code, _, err = run_cli(capsys, "cost", "--gate", "CNOT", "--coupling-file", str(path))
+        assert code == EXIT_VALIDATION
+        assert json.loads(err)["error"] == "coupling must be a finite 3x3 real matrix"
+    (result,) = run_batch(capsys, tmp_path, [{"cmd": "cost", "gate": "CNOT", "coupling": ragged}])
+    assert result == {"ok": False, "error": "coupling must be a finite 3x3 real matrix"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_non_finite_or_negative_tolerances_are_rejected(capsys, tmp_path, value):
+    proto_path = tmp_path / "cnot.json"
+    run_cli(capsys, "synth", "--gate", "CNOT", "--alpha", "1,0,0", "--out", str(proto_path))
+    code, _, err = run_cli(
+        capsys, "verify", "--protocol", str(proto_path), "--gate", "CNOT", f"--tolerance={value}"
+    )
+    assert code == EXIT_VALIDATION
+    assert "tolerance must be a finite non-negative number" in err
+    code, _, err = run_cli(capsys, "classify", "--gate", "CNOT", f"--class-tol={value}")
+    assert code == EXIT_VALIDATION
+    assert "class_tol must be a finite non-negative number" in err
+
+    protocol = json.loads(proto_path.read_text())
+    results = run_batch(
+        capsys,
+        tmp_path,
+        [
+            {"cmd": "verify", "gate": "CNOT", "protocol": protocol, "tolerance": float(value)},
+            {"cmd": "classify", "gate": "CNOT", "class_tol": float(value)},
+        ],
+    )
+    assert [r["ok"] for r in results] == [False, False]
 
 
 def test_tolerance_env_scaling():
@@ -360,3 +418,124 @@ def test_tolerance_env_scaling():
     ).stdout.split()
     assert float(out[0]) == pytest.approx(1e-8)
     assert float(out[1]) == pytest.approx(1e-6)
+
+
+def test_malformed_protocol_file_and_unwritable_out_are_validation_errors(capsys, tmp_path):
+    proto_path = tmp_path / "cnot.json"
+    run_cli(capsys, "synth", "--gate", "CNOT", "--alpha", "1,0,0", "--out", str(proto_path))
+    protocol = json.loads(proto_path.read_text())
+    for alpha in ([1.0], [1.0, 0.0, 0.0, 0.0], ["x", 0, 0]):
+        proto_path.write_text(json.dumps({**protocol, "hamiltonian_alpha": alpha}))
+        code, _, err = run_cli(capsys, "verify", "--protocol", str(proto_path), "--gate", "CNOT")
+        assert code == EXIT_VALIDATION
+        assert "hamiltonian_alpha must be a finite 3-vector" in err
+    out = tmp_path / "missing-dir" / "p.json"
+    code, _, err = run_cli(capsys, "synth", "--gate", "CNOT", "--alpha", "1,0,0", "--out", str(out))
+    assert code == EXIT_VALIDATION
+    assert "cannot write protocol file" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--degrees"]])
+def test_subcommands_match_their_batch_lines(capsys, tmp_path, flags):
+    # Each subcommand flag maps to one batch field, so a subcommand prints
+    # exactly the result of its batch line; synth writes the protocol to
+    # --out instead of inlining it.
+    entries = [[z.real, z.imag] for z in random_unitary(4, np.random.default_rng(34)).ravel()]
+    matrix_path = tmp_path / "u.json"
+    matrix_path.write_text(json.dumps({"matrix": entries}))
+    coupling = [[0.9, 0.1, 0.0], [0.2, 0.5, -0.1], [0.0, 0.3, -0.2]]
+    coupling_path = tmp_path / "c.json"
+    coupling_path.write_text(json.dumps({"coupling": coupling}))
+    proto_path = tmp_path / "p.json"
+    synth_path = tmp_path / "s.json"
+    run_cli(capsys, "synth", "--gate", "DCNOT", "--alpha", "1,0.8,0.1", "--out", str(proto_path))
+    protocol = json.loads(proto_path.read_text())
+    m, c = str(matrix_path), str(coupling_path)
+    cases = [
+        (
+            ["canon", "--full", "--matrix-file", m, "--matrix-order", "reversed"],
+            {"cmd": "canon", "full": True, "gate": {"matrix": entries, "order": "reversed"}},
+        ),
+        (
+            ["cost", "--gate", "CNOT", "--coupling-file", c],
+            {"cmd": "cost", "gate": "CNOT", "coupling": coupling},
+        ),
+        (
+            ["cost", "--matrix-file", m, "--alpha", "0.2,1,0.5"],
+            {"cmd": "cost", "gate": {"matrix": entries}, "alpha": [0.2, 1, 0.5]},
+        ),
+        (
+            ["classify", "--gate", "CONTROLLED_U:0.7853", "--class-tol", "1e-3"],
+            {"cmd": "classify", "gate": {"controlled_u": 0.7853}, "class_tol": 1e-3},
+        ),
+        (
+            ["commcost", "--task", "cbit-both-ways", "--alpha", "1,0.5,-0.2"],
+            {"cmd": "commcost", "task": "cbit-both-ways", "alpha": [1, 0.5, -0.2]},
+        ),
+        (
+            ["order", "--gate-u", "FAMILY:1,0.5,0.3", "--gate-v", "CONTROLLED_U:0.3"],
+            {"cmd": "order", "gate_u": {"family": [1, 0.5, 0.3]}, "gate_v": "CONTROLLED_U:0.3"},
+        ),
+        (
+            ["verify", "--protocol", str(proto_path), "--gate", "DCNOT", "--tolerance", "1e-9"],
+            {"cmd": "verify", "protocol": protocol, "gate": "DCNOT", "tolerance": 1e-9},
+        ),
+        (
+            ["synth", "--matrix-file", m, "--coupling-file", c, "--out", str(synth_path)],
+            {"cmd": "synth", "gate": {"matrix": entries}, "coupling": coupling},
+        ),
+    ]
+    results = run_batch(capsys, tmp_path, [line for _, line in cases], *flags)
+    for (argv, line), batch in zip(cases, results):
+        assert batch["ok"], (line["cmd"], batch["error"])
+        _, out, _ = run_cli(capsys, *flags, *argv)
+        expected = batch["result"]
+        if line["cmd"] == "synth":
+            assert json.loads(synth_path.read_text()) == expected.pop("protocol")
+            expected["protocol_file"] = str(synth_path)
+        assert last_json(out) == expected, line["cmd"]
+
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=12,
+)
+_GATE_KEYS = st.sampled_from(["named", "controlled_u", "family", "matrix", "order"])
+_GATES = (
+    _ANY_JSON
+    | st.sampled_from(["CNOT", "CONTROLLED_U:0.3", "FAMILY:1,2,3", "FILE:", {"named": "SWAP"}])
+    | st.dictionaries(_GATE_KEYS, _ANY_JSON, max_size=2)
+)
+_FIELDS = {
+    "gate": _GATES,
+    "gate_u": _GATES,
+    "gate_v": _GATES,
+    "alpha": _ANY_JSON | st.lists(st.floats(), min_size=3, max_size=3),
+    "coupling": _ANY_JSON,
+    "task": _ANY_JSON | st.just("cbit-a-to-b"),
+    "tolerance": _ANY_JSON,
+    "class_tol": _ANY_JSON,
+    "full": _ANY_JSON,
+    "protocol": _ANY_JSON,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    line=_ANY_JSON
+    | st.builds(
+        lambda cmd, fields: {"cmd": cmd, **fields},
+        st.sampled_from(["canon", "cost", "synth", "verify", "classify", "commcost", "order"])
+        | _ANY_JSON,
+        st.fixed_dictionaries({}, optional=_FIELDS),
+    ),
+    degrees=st.booleans(),
+)
+def test_request_runner_answers_or_raises_a_typed_error(line, degrees):
+    # Every request either gets a result or fails with a GateforgeError that
+    # names the violated precondition; nothing else escapes the runner.
+    try:
+        assert isinstance(_run(line, degrees), dict)
+    except GateforgeError as exc:
+        assert str(exc)
