@@ -93,6 +93,29 @@ class SOrderMove(NamedTuple):
         return a
 
 
+def _s_sort(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise s-ordering of an ``(n, 3)`` array: the s-ordered rows and, per
+    row, the permutation ``perm`` with ``|out[i]| = |row[perm[i]]|``.
+
+    One stable sort by nonincreasing modulus; the third slot carries the sign
+    of the product of all three components (zero if any factor is zero).
+    """
+    mags = np.abs(rows)
+    perm = (-mags).argsort(axis=1, kind="stable")
+    out = mags[np.arange(len(rows))[:, None], perm]
+    out[:, 2] *= np.sign(rows).prod(axis=1)
+    return out, perm
+
+
+def _s_move(a: np.ndarray, out: np.ndarray, perm: np.ndarray) -> SOrderMove:
+    """The record of the s-ordering ``out`` of the 3-vector ``a`` by ``perm``."""
+    signs = np.where((a[perm] < 0) != (out < 0), -1, 1)
+    if signs.prod() < 0:
+        # Parity must be even to be a local move; flip the sign on a zero slot.
+        signs[np.argmax(out == 0.0)] = -1
+    return SOrderMove(tuple(perm.tolist()), tuple(signs.tolist()))
+
+
 def s_order(a: np.ndarray) -> tuple[np.ndarray, SOrderMove]:
     """Reorders a 3-vector by nonincreasing modulus, third slot carrying the
     sign of the product of all three components (zero if any factor is zero).
@@ -100,21 +123,8 @@ def s_order(a: np.ndarray) -> tuple[np.ndarray, SOrderMove]:
     Returns the s-ordered vector and the move that produced it.
     """
     a = np.asarray(a, dtype=float)
-    perm = tuple(sorted(range(3), key=lambda i: (-abs(a[i]), i)))
-    prod_sign = np.sign(a[0]) * np.sign(a[1]) * np.sign(a[2])
-    out = np.array([abs(a[perm[0]]), abs(a[perm[1]]), prod_sign * abs(a[perm[2]])])
-    signs = []
-    for k in range(3):
-        src = a[perm[k]]
-        if src == 0.0 or out[k] == 0.0:
-            signs.append(1)
-        else:
-            signs.append(1 if (src > 0) == (out[k] > 0) else -1)
-    if signs[0] * signs[1] * signs[2] < 0:
-        # Parity must be even to be a local move; flip the sign on a zero slot.
-        zero_slots = [k for k in range(3) if out[k] == 0.0]
-        signs[zero_slots[0]] = -signs[zero_slots[0]]
-    return out, SOrderMove(perm, tuple(signs))
+    out, perm = _s_sort(a[None])
+    return out[0], _s_move(a, out[0], perm[0])
 
 
 def is_s_ordered(a: np.ndarray, atol: float = tol.BOUNDARY) -> bool:
@@ -132,35 +142,30 @@ def is_canonical(a: np.ndarray, atol: float = tol.BOUNDARY) -> bool:
     )
 
 
-def _mod_shift(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduces each component into (-pi/4, pi/4]; returns (reduced, integer n)
-    with ``a = reduced + (pi/2) * n``."""
-    a = np.asarray(a, dtype=float)
-    n = np.ceil(a / HALF_PI - 0.5).astype(int)
-    return a - HALF_PI * n, n
+#: The pi/2 shift of the a1 = pi/4 boundary gauge.
+_GAUGE_SHIFT = np.array([1, 0, 0])
 
 
-def _canonical_moves(a: np.ndarray) -> tuple[np.ndarray, list]:
-    """Canonical form together with the primitive local moves that reach it.
+def _chamber_reduce(rows: np.ndarray):
+    """Row-wise chamber reduction of an ``(n, 3)`` array, and the moves that
+    reach it.
 
-    Moves are ``("shift", n)`` meaning the input equals the outcome plus
-    ``(pi/2) n``, and ``("sorder", SOrderMove)``.  Applying them in order maps
-    the input vector to the returned canonical vector.
+    Each row is reduced componentwise mod pi/2 into (-pi/4, pi/4], with
+    ``row = reduced + (pi/2) shift``, and s-ordered to ``ordered`` by ``perm``.
+    Rows in ``boundary`` (a1 = pi/4 with a3 < 0) then take the gauge move
+    ``(pi/4, a2, a3) ~ (pi/4, a2, -a3)``: the shift ``_GAUGE_SHIFT`` and a
+    second s-ordering by ``gauge_perm`` (one row per boundary row).
+
+    Returns ``(canonical, shift, ordered, perm, boundary, gauge_perm)``.
     """
-    moves: list = []
-    reduced, n = _mod_shift(a)
-    if np.any(n != 0):
-        moves.append(("shift", n))
-    ordered, mv = s_order(reduced)
-    moves.append(("sorder", mv))
-    if ordered[0] > QUARTER_PI - tol.BOUNDARY and ordered[2] < 0:
-        # a1 = pi/4 boundary: (pi/4, a2, a3) ~ (pi/4, a2, -a3); fix a3 >= 0.
-        boundary_n = np.array([1, 0, 0])
-        shifted = ordered - HALF_PI * boundary_n
-        moves.append(("shift", boundary_n))
-        ordered, mv2 = s_order(shifted)
-        moves.append(("sorder", mv2))
-    return ordered, moves
+    shift = np.ceil(rows / HALF_PI - 0.5)
+    ordered, perm = _s_sort(rows - HALF_PI * shift)
+    boundary = (ordered[:, 0] > QUARTER_PI - tol.BOUNDARY) & (ordered[:, 2] < 0)
+    canonical, gauge_perm = ordered, perm[:0]
+    if np.any(boundary):
+        canonical = ordered.copy()
+        canonical[boundary], gauge_perm = _s_sort(ordered[boundary] - HALF_PI * _GAUGE_SHIFT)
+    return canonical, shift, ordered, perm, boundary, gauge_perm
 
 
 def canonical_reduce(a: np.ndarray) -> np.ndarray:
@@ -171,26 +176,7 @@ def canonical_reduce(a: np.ndarray) -> np.ndarray:
     is a local move, so the gate of the result is locally equivalent to the
     gate of the input.
     """
-    return _canonical_moves(a)[0]
-
-
-def _s_order_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`s_order` values (no move records) for an (n, 3) array."""
-    mags = np.abs(m)
-    out = mags[np.arange(len(m))[:, None], (-mags).argsort(axis=1, kind="stable")]
-    out[:, 2] *= np.sign(m).prod(axis=1)
-    return out
-
-
-def _canonical_reduce_rows(rows: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`canonical_reduce`, identical semantics, no records."""
-    n = np.ceil(rows / HALF_PI - 0.5)
-    out = _s_order_rows(rows - HALF_PI * n)
-    boundary = (out[:, 0] > QUARTER_PI - tol.BOUNDARY) & (out[:, 2] < 0)
-    if np.any(boundary):
-        flipped = out[boundary] - np.array([HALF_PI, 0.0, 0.0])
-        out[boundary] = _s_order_rows(flipped)
-    return out
+    return _chamber_reduce(np.asarray(a, dtype=float)[None])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +289,7 @@ def _content_from_phases(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             (lams[:, 1] + lams[:, 2]) / 2,
         ]
     )
-    reduced = _canonical_reduce_rows(alphas)
+    reduced = _chamber_reduce(alphas)[0]
     keys = reduced.round(12)
     # Stable sort by row, then key: the last entry of each row's run is that
     # row's largest key, ties going to the highest branch index.
@@ -387,19 +373,22 @@ def kak_decompose(g: np.ndarray) -> KakDecomposition:
     right = from_magic(o_right)
     alpha = _lambda_to_alpha_unchecked(lam)
 
-    # Fold the chamber reduction of alpha into the local factors.
-    canonical, moves = _canonical_moves(alpha)
-    for kind, payload in moves:
-        if kind == "shift":
-            right = _shift_factor(payload) @ right
-        else:
-            w = _local_gate_of_lambda_perm(_lambda_perm_for_move(payload))
-            left = left @ w.conj().T
-            right = w @ right
+    # Fold the chamber reduction of alpha into the local factors: the pi/2
+    # shift, the s-ordering and, on the a1 = pi/4 boundary, the gauge move.
+    canonical, shift, ordered, perm, boundary, gauge_perm = _chamber_reduce(alpha[None])
+    steps = [(shift[0], alpha, ordered[0], perm[0])]
+    if boundary[0]:
+        steps.append((_GAUGE_SHIFT, ordered[0], canonical[0], gauge_perm[0]))
+    for n, before, after, p in steps:
+        if np.any(n != 0):
+            right = _shift_factor(n) @ right
+        w = _local_gate_of_lambda_perm(_lambda_perm_for_move(_s_move(before - HALF_PI * n, after, p)))
+        left = left @ w.conj().T
+        right = w @ right
 
     decomp = KakDecomposition(
         post_local=kron_factor(left),
-        alpha=canonical,
+        alpha=canonical[0],
         pre_local=kron_factor(right),
         global_phase=phase,
     )

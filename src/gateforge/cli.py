@@ -123,17 +123,22 @@ def protocol_to_json(p: protocol.Protocol) -> dict:
 
 
 def protocol_from_json(obj: dict) -> protocol.Protocol:
-    segments = tuple(
-        protocol.Segment(local=_pair_from_json(seg), duration=float(seg["duration"]))
-        for seg in obj["segments"]
-    )
+    alpha = _reals(obj["hamiltonian_alpha"], (3,), "hamiltonian_alpha must be a finite 3-vector")
+    durations = [float(seg["duration"]) for seg in obj["segments"]]
+    for i, duration in enumerate(durations):
+        if not math.isfinite(duration):
+            raise ValidationError(f"segment {i} duration must be a finite number")
+    # |a1| + |a2| + |a3| is the largest modulus of a drift eigenvalue.
+    if not math.isfinite(sum(map(abs, durations)) * sum(map(abs, alpha.tolist()))):
+        raise ValidationError("the total drift phase of the protocol overflows")
     return protocol.Protocol(
         opening=_pair_from_json(obj["opening"]),
-        segments=segments,
-        closing=_pair_from_json(obj["closing"]),
-        hamiltonian_alpha=_reals(
-            obj["hamiltonian_alpha"], (3,), "hamiltonian_alpha must be a finite 3-vector"
+        segments=tuple(
+            protocol.Segment(local=_pair_from_json(seg), duration=duration)
+            for seg, duration in zip(obj["segments"], durations)
         ),
+        closing=_pair_from_json(obj["closing"]),
+        hamiltonian_alpha=alpha,
         global_phase=_complex_from(obj["global_phase"]),
     )
 
@@ -252,11 +257,14 @@ def _hamiltonian(line: dict, degrees: bool) -> tuple[np.ndarray, LocalUnitaryPai
     scale = _angle_scale(degrees)
     if "coupling" in line:
         c = _reals(line["coupling"], (3, 3), "coupling must be a finite 3x3 real matrix")
-        return hamiltonian_canonical(c * scale)
-    if "alpha" in line:
-        raw = _reals(line["alpha"], (3,), "alpha must be a finite 3-vector")
-        return s_order(raw * scale)[0], None
-    raise ValidationError(f"{line['cmd']} needs an 'alpha' or 'coupling' field")
+        alpha, pair = hamiltonian_canonical(c * scale)
+    elif "alpha" in line:
+        alpha, pair = s_order(_reals(line["alpha"], (3,), "alpha must be a finite 3-vector") * scale)[0], None
+    else:
+        raise ValidationError(f"{line['cmd']} needs an 'alpha' or 'coupling' field")
+    if not math.isfinite(sum(map(abs, alpha.tolist()))):  # the largest drift eigenvalue modulus
+        raise ValidationError("the drift eigenvalues of the Hamiltonian overflow")
+    return alpha, pair
 
 
 def _tolerance(line: dict, key: str, default: float) -> float:
@@ -273,10 +281,10 @@ def _tolerance(line: dict, key: str, default: float) -> float:
 
 def _run_canon(line: dict, degrees: bool) -> dict:
     gate = _gate(line, "gate", degrees)
-    alpha = interaction_content(gate)
+    kak = kak_decompose(gate) if line.get("full") else None
+    alpha = interaction_content(gate) if kak is None else kak.alpha
     out = {"alpha": _json_vector(alpha), "lambda": _json_vector(alpha_to_lambda(alpha))}
-    if line.get("full"):
-        kak = kak_decompose(gate)
+    if kak is not None:
         out["kak"] = {
             "post_local": _pair_to_json(kak.post_local),
             "alpha": _json_vector(kak.alpha),

@@ -96,7 +96,8 @@ def task_cost(task: CommTask, alpha: np.ndarray) -> TaskCostReport:
     a positive leading component.
 
     Raises:
-        InfeasibleError: if ``alpha`` has no interaction at all.
+        InfeasibleError: if ``alpha`` has no interaction at all, or so little
+            that the cost overflows.
     """
     a = np.asarray(alpha, dtype=float)
     a1, a2, a3 = a
@@ -104,26 +105,18 @@ def task_cost(task: CommTask, alpha: np.ndarray) -> TaskCostReport:
         raise InfeasibleError("drift with no interaction cannot transmit anything")
 
     if task is CommTask.CBIT_A_TO_B:
-        return TaskCostReport(
-            cost=QUARTER_PI / a1,
-            optimal_beta=np.array([QUARTER_PI, 0.0, 0.0]),
-            realizing_gate_hint="CNOT",
-        )
-    if task is CommTask.QUBIT_BOTH_WAYS:
-        return TaskCostReport(
-            cost=3 * QUARTER_PI / (a1 + a2 + abs(a3)),
-            optimal_beta=np.array([QUARTER_PI, QUARTER_PI, QUARTER_PI]),
-            realizing_gate_hint="SWAP",
-        )
-    # cbit both ways, qubit one way, and qubit+cbit share one optimum.
-    b = a3 / (a1 + a2)
-    beta = canonical_reduce(np.array([QUARTER_PI, QUARTER_PI, 2 * b * QUARTER_PI]))
-    vartheta = QUARTER_PI * (1 - 2 * b)
-    return TaskCostReport(
-        cost=(math.pi / 2) / (a1 + a2),
-        optimal_beta=beta,
-        realizing_gate_hint=f"cbit-family(vartheta={vartheta:.12g})",
-    )
+        cost, beta, hint = QUARTER_PI / a1, np.array([QUARTER_PI, 0.0, 0.0]), "CNOT"
+    elif task is CommTask.QUBIT_BOTH_WAYS:
+        cost, beta, hint = 3 * QUARTER_PI / (a1 + a2 + abs(a3)), np.full(3, QUARTER_PI), "SWAP"
+    else:
+        # cbit both ways, qubit one way, and qubit+cbit share one optimum.
+        b = a3 / (a1 + a2)
+        cost = (math.pi / 2) / (a1 + a2)
+        beta = canonical_reduce(np.array([QUARTER_PI, QUARTER_PI, 2 * b * QUARTER_PI]))
+        hint = f"cbit-family(vartheta={QUARTER_PI * (1 - 2 * b):.12g})"
+    if not math.isfinite(cost):
+        raise InfeasibleError(f"drift {a.tolist()} is too weak to {task.value} in finite time")
+    return TaskCostReport(cost=cost, optimal_beta=beta, realizing_gate_hint=hint)
 
 
 def family_gate(eta: float, theta: float, omega: float) -> np.ndarray:

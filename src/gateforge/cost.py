@@ -6,8 +6,10 @@ The cost of realizing a gate with content ``beta`` from a drift ``alpha``
 under instantaneous local control is the smallest ``t`` such that a pi/2
 shift of ``beta`` is s-majorized by ``alpha * t``.  For canonical ``beta``
 only the shifts ``(0,0,0)`` and ``(-1,0,0)`` can ever win, so both the cost
-optimizer and the feasibility test look at these two branches alone.  The
-test suite checks both against a scan over every shift in {-2..2}^3.
+optimizer and the feasibility test look at these two branches alone, s-order
+both shifted rows in one call and compare their s-majorization partial sums
+(:mod:`gateforge.majorization`).  The test suite checks both against a scan
+over every shift in {-2..2}^3.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .canonical import HALF_PI, QUARTER_PI, _s_order_rows, is_canonical, s_order
+from .canonical import HALF_PI, QUARTER_PI, _s_sort, is_canonical, s_order
 from .errors import BetaOutOfRangeError, UnknownGateError
-from .majorization import min_time, s_majorizes
+from .majorization import _min_times, _s_sums, s_majorizes
 
 #: The only shifts of a canonical content that can be s-majorized first,
 #: in the order they are tried.
@@ -57,13 +59,6 @@ class OrderVerdict(enum.Enum):
     OUTSIDE_REGION = "OutsideRegion"
 
 
-def _s_sums(rows: np.ndarray) -> np.ndarray:
-    """The three partial sums compared by s-majorization, for s-ordered rows
-    ``(..., 3)``: ``a1``, ``a1 + a2 - a3`` and ``a1 + a2 + a3``."""
-    a1, a2, a3 = rows[..., 0], rows[..., 1], rows[..., 2]
-    return np.stack([a1, a1 + a2 - a3, a1 + a2 + a3], axis=-1)
-
-
 def _feasible_rows(beta: np.ndarray, alpha: np.ndarray, t: np.ndarray, atol: float) -> np.ndarray:
     """Row-wise two-branch feasibility of canonical contents ``beta`` (n, 3)
     at times ``t`` (n,).
@@ -73,8 +68,8 @@ def _feasible_rows(beta: np.ndarray, alpha: np.ndarray, t: np.ndarray, atol: flo
     ``atol`` on each of the three inequalities, or -1 when neither is.
     """
     beta = np.asarray(beta, dtype=float)
-    reach = _s_sums(_s_order_rows(np.asarray(alpha, dtype=float) * np.asarray(t, dtype=float)[:, None]))
-    shifted = _s_order_rows((beta[:, None, :] + _BRANCH_SHIFTS).reshape(-1, 3))
+    reach = _s_sums(_s_sort(np.asarray(alpha, dtype=float) * np.asarray(t, dtype=float)[:, None])[0])
+    shifted, _ = _s_sort((beta[:, None, :] + _BRANCH_SHIFTS).reshape(-1, 3))
     need = _s_sums(shifted).reshape(len(beta), len(_BRANCHES), 3)
     ok = np.all(reach[:, None, :] >= need - atol, axis=-1)
     return np.where(ok[:, 0], 0, np.where(ok[:, 1], 1, -1))
@@ -106,19 +101,17 @@ def feasible(
 def interaction_cost(beta: np.ndarray, alpha: np.ndarray) -> CostReport:
     """Minimal total drift time realizing content ``beta`` from drift ``alpha``.
 
-    Takes the better of the two candidate shifts; ties are reported as branch
-    ``(0,0,0)`` for determinism.  ``beta`` should be canonical (as produced by
+    Takes the better of the two candidate shifts in one pass; ties (and two
+    infinite costs) are reported as branch ``(0,0,0)`` for determinism.
+    ``beta`` should be canonical (as produced by
     :func:`gateforge.canonical.interaction_content`) and ``alpha`` s-ordered.
     """
-    beta = np.asarray(beta, dtype=float)
-    best: CostReport | None = None
-    for branch in _BRANCHES:
-        shifted = beta + HALF_PI * np.asarray(branch)
-        t = min_time(shifted, alpha)
-        if best is None or t < best.cost:
-            ordered, _ = s_order(shifted)
-            best = CostReport(cost=float(t), branch=branch, beta_used=ordered)
-    return best
+    shifted = np.asarray(beta, dtype=float) + _BRANCH_SHIFTS
+    ordered, _ = _s_sort(np.vstack([shifted, alpha]))
+    sums = _s_sums(ordered)
+    costs = _min_times(sums[:-1], sums[-1])
+    k = int(costs.argmin())
+    return CostReport(cost=float(costs[k]), branch=_BRANCHES[k], beta_used=ordered[k])
 
 
 def named_gate_cost(gate: str, alpha: np.ndarray, beta: float | None = None) -> float:

@@ -1,6 +1,9 @@
 """Majorization and s-majorization predicates, the closed-form minimal-time
 solver for drift simulation, and certificates expressing a majorization as a
 convex combination of at most three magic-state permutations.
+
+The three s-majorization partial sums are written once, row-wise, in
+``_s_sums``; ``gateforge.cost`` compares them too.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .canonical import s_order
+from .canonical import _s_sort
 from .errors import NotMajorizedError, NoTripleFoundError
 
 #: All 24 permutations of four elements in lexicographic one-line order; the
@@ -43,6 +46,13 @@ def majorizes(x: np.ndarray, y: np.ndarray, atol: float = tol.STRUCTURAL) -> boo
     return bool(np.all(cx[:-1] >= cy[:-1] - atol))
 
 
+def _s_sums(rows: np.ndarray) -> np.ndarray:
+    """The three partial sums compared by s-majorization, for s-ordered rows
+    ``(..., 3)``: ``a1``, ``a1 + a2 - a3`` and ``a1 + a2 + a3``."""
+    a1, a2, a3 = rows[..., 0], rows[..., 1], rows[..., 2]
+    return np.stack([a1, a1 + a2 - a3, a1 + a2 + a3], axis=-1)
+
+
 def s_majorizes(a: np.ndarray, b: np.ndarray, atol: float = tol.STRUCTURAL) -> bool:
     """Whether ``a`` s-majorizes ``b``.
 
@@ -50,13 +60,16 @@ def s_majorizes(a: np.ndarray, b: np.ndarray, atol: float = tol.STRUCTURAL) -> b
     inequalities ``a1 >= b1``, ``a1+a2-a3 >= b1+b2-b3``, ``a1+a2+a3 >= b1+b2+b3``,
     equivalent to ordinary majorization of the associated 4-vectors.
     """
-    a, _ = s_order(a)
-    b, _ = s_order(b)
-    return bool(
-        a[0] >= b[0] - atol
-        and a[0] + a[1] - a[2] >= b[0] + b[1] - b[2] - atol
-        and a[0] + a[1] + a[2] >= b[0] + b[1] + b[2] - atol
-    )
+    sums_a, sums_b = _s_sums(_s_sort(np.array([a, b], dtype=float))[0])
+    return bool(np.all(sums_a >= sums_b - atol))
+
+
+def _min_times(need: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`min_time` from s-majorization partial sums: ``need``
+    of the targets ``(n, 3)`` and ``reach`` of the drift ``(3,)``."""
+    ratio = np.where(need > tol.STRUCTURAL, math.inf, 0.0)
+    np.divide(need, reach, out=ratio, where=reach > 0.0)
+    return ratio.max(axis=-1)
 
 
 def min_time(b: np.ndarray, a: np.ndarray) -> float:
@@ -67,20 +80,8 @@ def min_time(b: np.ndarray, a: np.ndarray) -> float:
     when a positive numerator meets a zero denominator, i.e. the drift cannot
     reach the target at any time.
     """
-    bs, _ = s_order(b)
-    as_, _ = s_order(a)
-    worst = 0.0
-    for num, den in (
-        (bs[0], as_[0]),
-        (bs[0] + bs[1] - bs[2], as_[0] + as_[1] - as_[2]),
-        (bs[0] + bs[1] + bs[2], as_[0] + as_[1] + as_[2]),
-    ):
-        if den <= 0.0:
-            if num > tol.STRUCTURAL:
-                return math.inf
-            continue
-        worst = max(worst, num / den)
-    return worst
+    need, reach = _s_sums(_s_sort(np.array([b, a], dtype=float))[0])
+    return float(_min_times(need, reach))
 
 
 @dataclass(frozen=True)

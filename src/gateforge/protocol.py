@@ -110,7 +110,9 @@ def _synthesize(target: np.ndarray, alpha: np.ndarray) -> tuple[Protocol, Verifi
     pre = kak.pre_local.matrix()
     post = kak.post_local.matrix()
 
-    if t_total <= tol.DURATION_FLOOR:
+    # Durations meet the floor in drift phase t * a1, whatever the drift's scale.
+    phase = t_total * alpha[0]
+    if phase <= tol.DURATION_FLOOR:
         protocol = Protocol(
             opening=kak.pre_local,
             segments=(),
@@ -132,7 +134,7 @@ def _synthesize(target: np.ndarray, alpha: np.ndarray) -> tuple[Protocol, Verifi
     lam = alpha_to_lambda(alpha)
     mu = alpha_to_lambda(ordered)
     weighting = birkhoff_express(mu, lam, t_total)
-    terms = [(perm, w * t_total) for perm, w in weighting.terms if w * t_total >= tol.DURATION_FLOOR]
+    terms = [(perm, w * t_total) for perm, w in weighting.terms if w * phase >= tol.DURATION_FLOOR]
     if not terms:
         perm, w = max(weighting.terms, key=lambda item: item[1])
         terms = [(perm, w * t_total)]

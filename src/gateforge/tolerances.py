@@ -2,31 +2,26 @@
 
 Two tiers: STRUCTURAL for "the input is wrong" checks (unitarity, tracelessness,
 orthogonality) and RESIDUAL for "accumulated roundoff" checks (factorization and
-reassembly residuals).  The optional environment variable ``GATEFORGE_TOL``
-scales both tiers multiplicatively, for callers feeding in noisy external data.
+reassembly residuals).
 """
 
-import os
-
-_SCALE = float(os.environ.get("GATEFORGE_TOL", "1.0"))
-
 #: Structural validation tier.
-STRUCTURAL = 1e-10 * _SCALE
+STRUCTURAL = 1e-10
 
 #: Factorization / reassembly tier.
-RESIDUAL = 1e-8 * _SCALE
+RESIDUAL = 1e-8
 
 #: Unit-modulus check on scalar phases.
-PHASE = 1e-12 * _SCALE
+PHASE = 1e-12
 
 #: Chamber-boundary and class-membership comparisons against exact landmarks
 #: such as pi/4; inputs produced by our own canonicalizer are accurate to the
 #: RESIDUAL tier, so a threshold one decade below STRUCTURAL-adjacent accuracy
 #: keeps classification of synthesized contents stable.
-BOUNDARY = 1e-9 * _SCALE
+BOUNDARY = 1e-9
 
 #: Symmetry precondition of the joint diagonalizer.
-SYMMETRY = 1e-9 * _SCALE
+SYMMETRY = 1e-9
 
 #: Eigenvalue clustering gap of the joint diagonalizer (LAPACK ``eigh`` with a
 #: degenerate-cluster second pass).  A run of Re(m) eigenvalues whose
@@ -36,5 +31,6 @@ SYMMETRY = 1e-9 * _SCALE
 #: insensitive to the exact cutoff (the residual check is authoritative).
 CLUSTER = 1e-6
 
-#: Durations below this are dropped from synthesized protocols.
+#: Drift segments whose phase ``t * a1`` falls below this are dropped from
+#: synthesized protocols.
 DURATION_FLOOR = 1e-12

@@ -221,6 +221,9 @@ def test_stacked_content_equals_row_by_row(gs):
     stack = np.array(gs)
     rows = np.array([interaction_content(g) for g in gs])
     assert np.array_equal(interaction_content(stack), rows)
+    # canon --full reads the content off the decomposition, without a
+    # second diagonalization.
+    assert np.array_equal(np.array([kak_decompose(g).alpha for g in gs]), rows)
 
 
 def test_stacked_content_names_nonunitary_row():

@@ -1,6 +1,4 @@
 import json
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -18,7 +16,7 @@ from gateforge.cli import (
     protocol_from_json,
     protocol_to_json,
 )
-from gateforge.errors import GateforgeError
+from gateforge.errors import GateforgeError, ValidationError
 from gateforge.protocol import synthesize, verify
 
 # Computational-basis CNOT printed in the reversed |11>,|10>,|01>,|00> order.
@@ -406,18 +404,27 @@ def test_non_finite_or_negative_tolerances_are_rejected(capsys, tmp_path, value)
     assert [r["ok"] for r in results] == [False, False]
 
 
-def test_tolerance_env_scaling():
-    # GATEFORGE_TOL scales both tolerance tiers at import time.
-    script = (
-        "import os; os.environ['GATEFORGE_TOL'] = '100';"
-        "from gateforge import tolerances;"
-        "print(tolerances.STRUCTURAL, tolerances.RESIDUAL)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert float(out[0]) == pytest.approx(1e-8)
-    assert float(out[1]) == pytest.approx(1e-6)
+@pytest.mark.parametrize(
+    "duration, message",
+    [(float("nan"), "segment 0 duration"), (float("inf"), "segment 0 duration"), (1.7e308, "drift phase")],
+)
+def test_non_finite_segment_duration_is_a_validation_error(duration, message):
+    p = protocol_to_json(synthesize(gates.CNOT, np.array([1.0, 0.5, 0.2])))
+    p["segments"][0]["duration"] = duration
+    with pytest.raises(ValidationError, match=message):
+        protocol_from_json(p)
+    with pytest.raises(ValidationError, match=message):
+        _run({"cmd": "verify", "gate": "CNOT", "protocol": p}, False)
+
+
+def test_overflowing_drift_is_a_validation_error():
+    # Drift eigenvalues of 3e308 overflow: unchecked, synth raises an untyped
+    # ValueError and cost and commcost answer 0.
+    for cmd in ("cost", "synth", "commcost"):
+        for ham in ({"alpha": [1e308] * 3}, {"coupling": np.diag([1e308] * 3).tolist()}):
+            line = {"cmd": cmd, "gate": "SWAP", "task": "qubit-both-ways", **ham}
+            with pytest.raises(ValidationError, match="overflow"):
+                _run(line, False)
 
 
 def test_malformed_protocol_file_and_unwritable_out_are_validation_errors(capsys, tmp_path):
@@ -533,9 +540,12 @@ _FIELDS = {
     degrees=st.booleans(),
 )
 def test_request_runner_answers_or_raises_a_typed_error(line, degrees):
-    # Every request either gets a result or fails with a GateforgeError that
-    # names the violated precondition; nothing else escapes the runner.
+    # Every request either gets a result that is strict JSON (no NaN or
+    # Infinity) or fails with a GateforgeError that names the violated
+    # precondition; nothing else escapes the runner.
     try:
-        assert isinstance(_run(line, degrees), dict)
+        result = _run(line, degrees)
+        assert isinstance(result, dict)
+        json.dumps(result, allow_nan=False)
     except GateforgeError as exc:
         assert str(exc)

@@ -74,6 +74,10 @@ def test_task_cost_qubit_both_ways():
 def test_task_cost_requires_interaction():
     with pytest.raises(InfeasibleError):
         task_cost(CommTask.CBIT_A_TO_B, np.zeros(3))
+    # A subnormal drift has an interaction, but every task cost overflows.
+    for task in CommTask:
+        with pytest.raises(InfeasibleError, match="finite time"):
+            task_cost(task, np.array([1e-320, 0.0, 0.0]))
 
 
 def test_task_cost_consistent_with_interaction_cost():

@@ -293,3 +293,31 @@ def test_verify_reports_match_alpha_drift():
     direct = drift_exponential(alpha_to_lambda(alpha), t)
     assert np.max(np.abs(via_c - direct)) <= 1e-8
     assert np.max(np.abs(alpha_hamiltonian(alpha) - pair.matrix() @ h_c @ pair.matrix().conj().T)) <= 1e-8
+
+
+def test_synthesize_does_not_depend_on_drift_scale():
+    # The duration floor is a drift phase, not a time: at drift scales of 1e12
+    # and above the whole optimal time lies below 1e-12.
+    rng = np.random.default_rng(21)
+    chamber = random_local_pair(rng).matrix() @ drift_exponential(
+        alpha_to_lambda(np.array([0.6, 0.4, -0.2])), 1.0
+    ) @ random_local_pair(rng).matrix()
+    targets = [gates.named_gate(name) for name in ("CNOT", "DCNOT", "SWAP")] + [chamber]
+    base = np.array([1.0, 0.6, -0.3])
+    scales = [1e-6, 1.0, 1e6, 1e12, 1e100, 1e300]
+    for target in targets:
+        reference = synthesize(target, base)
+        for scale in scales:
+            p = synthesize(target, base * scale)
+            assert verify(p, target, 1e-7).passed
+            assert len(p.segments) == len(reference.segments)
+            assert p.total_time * scale == pytest.approx(reference.total_time, rel=1e-12)
+    c = rng.normal(size=(3, 3))
+    alpha, _ = hamiltonian_canonical(c)
+    alpha_big, _ = hamiltonian_canonical(c * 1e300)
+    for target in targets:
+        reference = synthesize(target, alpha)
+        p = synthesize(target, alpha_big)
+        assert verify(p, target, 1e-7).passed
+        assert len(p.segments) == len(reference.segments)
+        assert p.total_time * 1e300 == pytest.approx(reference.total_time, rel=1e-12)
