@@ -130,8 +130,7 @@ def s_order(a: np.ndarray) -> tuple[np.ndarray, SOrderMove]:
 def is_s_ordered(a: np.ndarray, atol: float = tol.BOUNDARY) -> bool:
     """Whether ``a1 >= a2 >= |a3|`` and the third component carries the product sign."""
     a = np.asarray(a, dtype=float)
-    ordered, _ = s_order(a)
-    return bool(np.max(np.abs(ordered - a)) <= atol)
+    return bool(np.max(np.abs(_s_sort(a[None])[0][0] - a)) <= atol)
 
 
 def is_canonical(a: np.ndarray, atol: float = tol.BOUNDARY) -> bool:
@@ -485,8 +484,7 @@ def hamiltonian_canonical(c: np.ndarray) -> tuple[np.ndarray, LocalUnitaryPair]:
     d2 = np.linalg.det(o2)
     o1[:, 2] *= d1
     o2[:, 2] *= d2
-    alpha = np.array([sigma[0], sigma[1], sigma[2] * d1 * d2])
-    alpha, _ = s_order(alpha)
+    alpha = _s_sort(np.array([[sigma[0], sigma[1], sigma[2] * d1 * d2]]))[0][0]
     u = _su2_from_rotation(o1.T)
     v = _su2_from_rotation(o2.T)
     return alpha, LocalUnitaryPair(u, v, 1.0 + 0j)

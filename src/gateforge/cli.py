@@ -34,7 +34,7 @@ import sys
 import numpy as np
 
 from . import comm, cost, gates, protocol, tolerances
-from .canonical import alpha_to_lambda, hamiltonian_canonical, interaction_content, kak_decompose, s_order
+from .canonical import _s_sort, alpha_to_lambda, hamiltonian_canonical, interaction_content, kak_decompose
 from .errors import GateforgeError, InfeasibleError, NonUnitaryError, ValidationError
 from .linalg import LocalUnitaryPair, is_unitary
 
@@ -259,7 +259,7 @@ def _hamiltonian(line: dict, degrees: bool) -> tuple[np.ndarray, LocalUnitaryPai
         c = _reals(line["coupling"], (3, 3), "coupling must be a finite 3x3 real matrix")
         alpha, pair = hamiltonian_canonical(c * scale)
     elif "alpha" in line:
-        alpha, pair = s_order(_reals(line["alpha"], (3,), "alpha must be a finite 3-vector") * scale)[0], None
+        alpha, pair = _s_sort(_reals(line["alpha"], (3,), "alpha must be a finite 3-vector")[None] * scale)[0][0], None
     else:
         raise ValidationError(f"{line['cmd']} needs an 'alpha' or 'coupling' field")
     if not math.isfinite(sum(map(abs, alpha.tolist()))):  # the largest drift eigenvalue modulus

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .canonical import QUARTER_PI, canonical_reduce
+from .cost import interaction_cost
 from .errors import InfeasibleError
 
 
@@ -91,29 +92,30 @@ def task_cost(task: CommTask, alpha: np.ndarray) -> TaskCostReport:
 
     One classical bit one way is cheapest via a CNOT-content gate; every
     bidirectional task short of a double qubit swap shares the optimum
-    ``beta = pi/4 (1, 1, 2 a3/(a1+a2))`` at cost ``(pi/2)/(a1+a2)``; swapping
-    two qubits forces the full SWAP content.  ``alpha`` must be s-ordered with
-    a positive leading component.
+    ``beta = pi/4 (1, 1, 2 a3/(a1+a2))``; swapping two qubits forces the full
+    SWAP content.  The cost is :func:`gateforge.cost.interaction_cost` of the
+    optimal content, exact at every finite drift scale.  ``alpha`` must be
+    s-ordered with a positive leading component.
 
     Raises:
         InfeasibleError: if ``alpha`` has no interaction at all, or so little
             that the cost overflows.
     """
     a = np.asarray(alpha, dtype=float)
-    a1, a2, a3 = a
-    if a1 <= 0.0:
+    if a[0] <= 0.0:
         raise InfeasibleError("drift with no interaction cannot transmit anything")
 
     if task is CommTask.CBIT_A_TO_B:
-        cost, beta, hint = QUARTER_PI / a1, np.array([QUARTER_PI, 0.0, 0.0]), "CNOT"
+        beta, hint = np.array([QUARTER_PI, 0.0, 0.0]), "CNOT"
     elif task is CommTask.QUBIT_BOTH_WAYS:
-        cost, beta, hint = 3 * QUARTER_PI / (a1 + a2 + abs(a3)), np.full(3, QUARTER_PI), "SWAP"
+        beta, hint = np.full(3, QUARTER_PI), "SWAP"
     else:
         # cbit both ways, qubit one way, and qubit+cbit share one optimum.
-        b = a3 / (a1 + a2)
-        cost = (math.pi / 2) / (a1 + a2)
+        _, a2, a3 = a / a[0]
+        b = a3 / (1.0 + a2)
         beta = canonical_reduce(np.array([QUARTER_PI, QUARTER_PI, 2 * b * QUARTER_PI]))
         hint = f"cbit-family(vartheta={QUARTER_PI * (1 - 2 * b):.12g})"
+    cost = interaction_cost(beta, a).cost
     if not math.isfinite(cost):
         raise InfeasibleError(f"drift {a.tolist()} is too weak to {task.value} in finite time")
     return TaskCostReport(cost=cost, optimal_beta=beta, realizing_gate_hint=hint)

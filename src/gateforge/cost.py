@@ -1,6 +1,5 @@
 """Interaction cost of gates, feasibility of simulation at a given time,
-closed-form costs for the named landmark gates, and the interaction-based
-partial order on gates.
+and the interaction-based partial order on gates.
 
 The cost of realizing a gate with content ``beta`` from a drift ``alpha``
 under instantaneous local control is the smallest ``t`` such that a pi/2
@@ -9,7 +8,10 @@ only the shifts ``(0,0,0)`` and ``(-1,0,0)`` can ever win, so both the cost
 optimizer and the feasibility test look at these two branches alone, s-order
 both shifted rows in one call and compare their s-majorization partial sums
 (:mod:`gateforge.majorization`).  The test suite checks both against a scan
-over every shift in {-2..2}^3.
+over every shift in {-2..2}^3.  Every cost, that of a named landmark gate
+or of a communication task too, is this two-branch minimal time, taken on the
+drift in units of its leading component: it is exact at every finite drift
+scale.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .canonical import HALF_PI, QUARTER_PI, _s_sort, is_canonical, s_order
+from .canonical import HALF_PI, QUARTER_PI, _s_sort, is_canonical
 from .errors import BetaOutOfRangeError, UnknownGateError
 from .majorization import _min_times, _s_sums, s_majorizes
 
@@ -29,6 +31,13 @@ from .majorization import _min_times, _s_sums, s_majorizes
 #: in the order they are tried.
 _BRANCHES = ((0, 0, 0), (-1, 0, 0))
 _BRANCH_SHIFTS = HALF_PI * np.array(_BRANCHES, dtype=float)
+
+#: Canonical contents of the landmark gates of :func:`named_gate_cost`.
+_NAMED_CONTENTS = {
+    "CNOT": QUARTER_PI * np.array([1.0, 0.0, 0.0]),
+    "DCNOT": QUARTER_PI * np.array([1.0, 1.0, 0.0]),
+    "SWAP": QUARTER_PI * np.array([1.0, 1.0, 1.0]),
+}
 
 
 @dataclass(frozen=True)
@@ -106,48 +115,34 @@ def interaction_cost(beta: np.ndarray, alpha: np.ndarray) -> CostReport:
     ``beta`` should be canonical (as produced by
     :func:`gateforge.canonical.interaction_content`) and ``alpha`` s-ordered.
     """
-    shifted = np.asarray(beta, dtype=float) + _BRANCH_SHIFTS
-    ordered, _ = _s_sort(np.vstack([shifted, alpha]))
-    sums = _s_sums(ordered)
-    costs = _min_times(sums[:-1], sums[-1])
+    costs, ordered = _min_times(np.asarray(beta, dtype=float) + _BRANCH_SHIFTS, alpha)
     k = int(costs.argmin())
     return CostReport(cost=float(costs[k]), branch=_BRANCHES[k], beta_used=ordered[k])
 
 
 def named_gate_cost(gate: str, alpha: np.ndarray, beta: float | None = None) -> float:
-    """Closed-form interaction cost of a landmark gate under drift ``alpha``.
+    """Interaction cost of a landmark gate under drift ``alpha``.
 
     ``gate`` is one of ``"CNOT"``, ``"DCNOT"``, ``"SWAP"`` or
     ``"CONTROLLED_U"`` (the latter takes the content parameter ``beta`` in
-    ``[0, pi/4]``).  Consistent with :func:`interaction_cost` of the gate's
-    content to machine precision.
+    ``[0, pi/4]``).  The value is :func:`interaction_cost` of the gate's fixed
+    canonical content: ``(pi/4)(1, 0, 0)``, ``(pi/4)(1, 1, 0)``,
+    ``(pi/4)(1, 1, 1)`` or ``(beta, 0, 0)``.
 
     Raises:
         UnknownGateError: for an unrecognized name.
         BetaOutOfRangeError: if ``beta`` is missing or outside ``[0, pi/4]``.
     """
-    a, _ = s_order(alpha)
-    a1, a2, a3 = a
     name = gate.upper()
-
-    def over(num: float, den: float) -> float:
-        if den <= 0.0:
-            return 0.0 if num <= 0.0 else math.inf
-        return num / den
-
-    if name == "CNOT":
-        return over(QUARTER_PI, a1)
     if name == "CONTROLLED_U":
         if beta is None or not 0.0 <= beta <= QUARTER_PI:
             raise BetaOutOfRangeError("controlled-U parameter must lie in [0, pi/4]")
-        if beta == 0.0:
-            return 0.0
-        return over(beta, a1)
-    if name == "DCNOT":
-        return over(HALF_PI, a1 + a2 - abs(a3))
-    if name == "SWAP":
-        return over(3 * QUARTER_PI, a1 + a2 + abs(a3))
-    raise UnknownGateError(f"no closed-form cost for gate {gate!r}")
+        content = np.array([beta, 0.0, 0.0])
+    elif name in _NAMED_CONTENTS:
+        content = _NAMED_CONTENTS[name]
+    else:
+        raise UnknownGateError(f"no closed-form cost for gate {gate!r}")
+    return interaction_cost(content, alpha).cost
 
 
 def partial_order(beta_u: np.ndarray, beta_v: np.ndarray) -> OrderVerdict:

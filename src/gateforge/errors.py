@@ -73,13 +73,18 @@ class InfeasibleError(GateforgeError):
 class NoTripleFoundError(GateforgeError):
     """No convex combination of at most 3 permutations certifies the relation.
 
-    Should never trigger for time-optimal instances; ``fallback`` carries the
-    wider certificate found over all 24 permutations for diagnosis.
+    Should never trigger for time-optimal instances.  Carries the instance
+    (``mu``, ``lam``, ``t``) and, in ``residual``, the smallest residual of a
+    triple with nonnegative weights in units of ``max|lam * t|`` (``inf`` if
+    no triple has nonnegative weights).
     """
 
-    def __init__(self, message: str, fallback=None):
+    def __init__(self, message: str, mu, lam, t: float, residual: float):
         super().__init__(message)
-        self.fallback = fallback
+        self.mu = mu
+        self.lam = lam
+        self.t = t
+        self.residual = residual
 
 
 class SynthesisResidualError(GateforgeError):

@@ -64,24 +64,35 @@ def s_majorizes(a: np.ndarray, b: np.ndarray, atol: float = tol.STRUCTURAL) -> b
     return bool(np.all(sums_a >= sums_b - atol))
 
 
-def _min_times(need: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`min_time` from s-majorization partial sums: ``need``
-    of the targets ``(n, 3)`` and ``reach`` of the drift ``(3,)``."""
-    ratio = np.where(need > tol.STRUCTURAL, math.inf, 0.0)
-    np.divide(need, reach, out=ratio, where=reach > 0.0)
-    return ratio.max(axis=-1)
+def _min_times(targets: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise :func:`min_time` of the targets ``(n, 3)`` against the drift
+    ``alpha``, and the targets s-ordered together with the drift.
+
+    Time is homogeneous of degree -1 in the drift, so the drift is taken in
+    units of its leading component ``a1`` and the largest ratio divided by
+    ``a1`` last: exact for every finite drift, ``inf`` only where the true
+    time overflows.  With ``a1 = 0`` a target takes time 0 if no partial sum
+    exceeds ``STRUCTURAL``, and ``inf`` otherwise.
+    """
+    ordered, _ = _s_sort(np.vstack([targets, np.asarray(alpha, dtype=float)]))
+    rows, a1 = ordered[:-1], ordered[-1, 0]
+    need = _s_sums(rows)
+    if a1 == 0.0:
+        return np.where(need.max(axis=-1) > tol.STRUCTURAL, math.inf, 0.0), rows
+    # s-ordered, the unit drift's partial sums are all at least 1.
+    with np.errstate(over="ignore"):
+        return (need / _s_sums(ordered[-1] / a1)).max(axis=-1) / a1, rows
 
 
 def min_time(b: np.ndarray, a: np.ndarray) -> float:
     """Minimal ``t >= 0`` with ``a * t`` s-majorizing ``b``, in closed form.
 
     The three s-majorization inequalities are linear in ``t``, so the infimum
-    is the largest of the three ratios (0/0 reads as 0).  Returns ``math.inf``
-    when a positive numerator meets a zero denominator, i.e. the drift cannot
-    reach the target at any time.
+    is the largest of the three ratios.  Returns ``math.inf`` when the drift
+    has no interaction and the target is not trivial: the drift cannot reach
+    it at any time.
     """
-    need, reach = _s_sums(_s_sort(np.array([b, a], dtype=float))[0])
-    return float(_min_times(need, reach))
+    return float(_min_times(np.asarray(b, dtype=float)[None], a)[0][0])
 
 
 @dataclass(frozen=True)
@@ -130,8 +141,8 @@ def birkhoff_express(mu: np.ndarray, lam: np.ndarray, t: float) -> PermutationWe
         NotMajorizedError: if ``lam * t`` does not majorize ``mu``.
         NoTripleFoundError: if no 3-subset certifies the relation.  For
             time-optimal instances three terms always suffice, so this error
-            is a finding to report; the exception carries a wider certificate
-            over all 24 permutations for diagnosis.
+            is a finding to report; the exception carries the inputs and the
+            smallest residual of a triple with nonnegative weights.
     """
     mu = np.asarray(mu, dtype=float)
     lam = np.asarray(lam, dtype=float)
@@ -141,11 +152,11 @@ def birkhoff_express(mu: np.ndarray, lam: np.ndarray, t: float) -> PermutationWe
     # The thresholds below are relative: everything is measured in units of
     # max|lam * t|, so a weak target is certified as readily as a strong one.
     scale = float(np.max(np.abs(lam * t))) or 1.0
-    mu = mu / scale
+    target = mu / scale
     columns = lam[_PERM_GATHER] * t / scale  # 24 x 4
 
     # Singletons.
-    gaps = np.max(np.abs(columns - mu), axis=1)
+    gaps = np.max(np.abs(columns - target), axis=1)
     hits = np.flatnonzero(gaps <= _CERT_RESIDUAL)
     if hits.size:
         return PermutationWeighting(((PERMUTATIONS[hits[0]], 1.0),))
@@ -158,13 +169,13 @@ def birkhoff_express(mu: np.ndarray, lam: np.ndarray, t: float) -> PermutationWe
     solvable = denom > 1e-18
     w = np.where(
         solvable,
-        np.einsum("ij,ij->i", mu - b, diff) / np.where(solvable, denom, 1.0),
+        np.einsum("ij,ij->i", target - b, diff) / np.where(solvable, denom, 1.0),
         -1.0,
     )
     admissible = solvable & (w >= _WEIGHT_CLAMP) & (w <= 1 - _WEIGHT_CLAMP)
     wc = np.clip(w, 0.0, 1.0)
     mix = wc[:, None] * a + (1 - wc)[:, None] * b
-    residual = np.max(np.abs(mix - mu), axis=1)
+    residual = np.max(np.abs(mix - target), axis=1)
     winners = np.flatnonzero(admissible & (residual <= _CERT_RESIDUAL))
     if winners.size:
         k = int(winners[0])
@@ -183,7 +194,7 @@ def birkhoff_express(mu: np.ndarray, lam: np.ndarray, t: float) -> PermutationWe
     a = columns[_TRIPLE_INDEX[:, 0]]
     b = columns[_TRIPLE_INDEX[:, 1]]
     c = columns[_TRIPLE_INDEX[:, 2]]
-    m1, m2, r = a - c, b - c, mu - c
+    m1, m2, r = a - c, b - c, target - c
     r11 = np.sqrt(np.einsum("ij,ij->i", m1, m1))
     q1 = m1 / np.where(r11 > 0, r11, 1.0)[:, None]
     r12 = np.einsum("ij,ij->i", q1, m2)
@@ -196,15 +207,9 @@ def birkhoff_express(mu: np.ndarray, lam: np.ndarray, t: float) -> PermutationWe
     w1 = np.where(solvable, (np.einsum("ij,ij->i", q1, r) - r12 * w2) / safe_r11, -1.0)
     w3 = 1.0 - w1 - w2
     mix = w1[:, None] * a + w2[:, None] * b + w3[:, None] * c
-    residual = np.max(np.abs(mix - mu), axis=1)
-    ok = (
-        solvable
-        & (w1 >= _WEIGHT_CLAMP)
-        & (w2 >= _WEIGHT_CLAMP)
-        & (w3 >= _WEIGHT_CLAMP)
-        & (residual <= _CERT_RESIDUAL)
-    )
-    winners = np.flatnonzero(ok)
+    residual = np.max(np.abs(mix - target), axis=1)
+    nonnegative = solvable & (w1 >= _WEIGHT_CLAMP) & (w2 >= _WEIGHT_CLAMP) & (w3 >= _WEIGHT_CLAMP)
+    winners = np.flatnonzero(nonnegative & (residual <= _CERT_RESIDUAL))
     if winners.size:
         k = int(winners[0])
         weights = np.clip([w1[k], w2[k], w3[k]], 0.0, None)
@@ -217,20 +222,8 @@ def birkhoff_express(mu: np.ndarray, lam: np.ndarray, t: float) -> PermutationWe
     raise NoTripleFoundError(
         "no certificate with at most 3 permutations; this contradicts the "
         "3-term bound for time-optimal instances",
-        fallback=_full_support_certificate(mu, columns),
+        mu=mu,
+        lam=lam,
+        t=t,
+        residual=float(residual[nonnegative].min()) if nonnegative.any() else math.inf,
     )
-
-
-def _full_support_certificate(mu: np.ndarray, columns: np.ndarray) -> PermutationWeighting | None:
-    """Diagnostic certificate over all 24 permutations (nonnegative least squares)."""
-    try:
-        from scipy.optimize import nnls
-    except ImportError:  # pragma: no cover - scipy is a declared dependency
-        return None
-    system = np.vstack([columns.T, np.ones(24)])
-    rhs = np.concatenate([mu, [1.0]])
-    weights, _ = nnls(system, rhs)
-    terms = tuple(
-        (PERMUTATIONS[i], float(w)) for i, w in enumerate(weights) if w > 1e-12
-    )
-    return PermutationWeighting(terms) if terms else None

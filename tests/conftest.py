@@ -3,9 +3,10 @@
 import itertools
 
 import numpy as np
+from hypothesis import strategies as st
 
-from gateforge.canonical import QUARTER_PI, s_order
-from gateforge.linalg import LocalUnitaryPair
+from gateforge.canonical import QUARTER_PI, alpha_to_lambda, s_order
+from gateforge.linalg import MAGIC, PAULIS, LocalUnitaryPair, drift_exponential
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -81,3 +82,60 @@ def _scan_feasible(beta, alpha, t, atol=0.0):
             & (rows[:, 0] + rows[:, 1] + rows[:, 2] <= a[0] + a[1] + a[2] + atol)
         )
     )
+
+
+#: Places in the chamber pi/4 >= a1 >= a2 >= |a3| that a drawn content sits on.
+_WALLS = ("interior", "a1=a2", "a2=a3", "a2=-a3", "a3=0", "a1=pi/4", "a1=pi/4,a3<0", "a1=pi/8", "zero")
+#: Degenerate drifts whose multi-segment prefixes are drawn as well.
+_PREFIX_DRIFTS = {"ising": (1.0, 0.0, 0.0), "xy": (1.0, 1.0, 0.0), "heisenberg": (1.0, 1.0, 1.0)}
+
+
+@st.composite
+def dressed_gates(draw):
+    """A dressed gate whose content is ``size`` (1e-12 .. pi/4) on a chamber
+    wall, or a prefix of a protocol under a degenerate drift."""
+    kind = draw(st.sampled_from(_WALLS + tuple(_PREFIX_DRIFTS)))
+    size = 10.0 ** draw(st.floats(-12.0, float(np.log10(QUARTER_PI))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u1, u2 = rng.random(2)
+    if kind in _PREFIX_DRIFTS:
+        lam = alpha_to_lambda(np.array(_PREFIX_DRIFTS[kind]))
+        g = random_local_pair(rng).matrix()
+        for _ in range(rng.integers(1, 4)):
+            g = drift_exponential(lam, size * rng.random()) @ random_local_pair(rng).matrix() @ g
+        return g
+    a1 = {"a1=pi/4": QUARTER_PI, "a1=pi/4,a3<0": QUARTER_PI, "a1=pi/8": QUARTER_PI / 2}.get(kind, size)
+    a2 = {"a1=a2": a1, "zero": 0.0}.get(kind, u1 * min(a1, size))
+    a3 = {"a2=a3": a2, "a2=-a3": -a2, "a3=0": 0.0, "a1=pi/4,a3<0": -u2 * a2, "zero": 0.0}.get(
+        kind, (2 * u2 - 1) * a2
+    )
+    a = np.array([0.0 if kind == "zero" else a1, a2, a3])
+    left, right = random_local_pair(rng).matrix(), random_local_pair(rng).matrix()
+    return np.exp(2j * np.pi * rng.random()) * left @ drift_exponential(alpha_to_lambda(a), 1.0) @ right
+
+
+# Test-local invariant oracle, independent of the diagonalizer: Makhlin's
+# local invariants (Makhlin, QIP 1, 243 (2002); Zhang, Vala, Sastry and
+# Whaley, PRA 67, 042313 (2003)).  Two gates are locally equivalent exactly
+# when their invariants agree.
+
+def content_gate(a):
+    """``exp(-i (a1 XX + a2 YY + a3 ZZ))``, by a Hermitian eigendecomposition."""
+    h = sum(c * np.kron(p, p) for c, p in zip(a, PAULIS))
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
+def makhlin_invariants(u):
+    """``(G1, G2)`` with ``G1 = tr^2(m) / (16 det u)`` and
+    ``G2 = (tr^2(m) - tr(m^2)) / (4 det u)``, where ``m = u_B^T u_B`` and
+    ``u_B`` is ``u`` in the magic basis."""
+    ub = MAGIC.conj().T @ u @ MAGIC
+    m = ub.T @ ub
+    det, tr = np.linalg.det(u), np.trace(m)
+    return np.array([tr**2 / (16 * det), (tr**2 - np.trace(m @ m)) / (4 * det)])
+
+
+def invariant_gap(u, v):
+    """Largest difference between the Makhlin invariants of ``u`` and ``v``."""
+    return float(np.max(np.abs(makhlin_invariants(u) - makhlin_invariants(v))))

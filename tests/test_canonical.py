@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    content_gate,
+    dressed_gates,
+    invariant_gap,
     random_canonical_alpha,
     random_local_pair,
     random_special_unitary,
@@ -185,38 +188,8 @@ def test_content_rejects_nonunitary():
         interaction_content(np.ones((4, 4)))
 
 
-#: Places in the chamber pi/4 >= a1 >= a2 >= |a3| that a drawn content sits on.
-_WALLS = ("interior", "a1=a2", "a2=a3", "a2=-a3", "a3=0", "a1=pi/4", "a1=pi/4,a3<0", "a1=pi/8", "zero")
-#: Degenerate drifts whose multi-segment prefixes are drawn as well.
-_PREFIX_DRIFTS = {"ising": (1.0, 0.0, 0.0), "xy": (1.0, 1.0, 0.0), "heisenberg": (1.0, 1.0, 1.0)}
-
-
-@st.composite
-def _content_cases(draw):
-    """A dressed gate whose content is ``size`` (1e-12 .. pi/4) on a chamber
-    wall, or a prefix of a protocol under a degenerate drift."""
-    kind = draw(st.sampled_from(_WALLS + tuple(_PREFIX_DRIFTS)))
-    size = 10.0 ** draw(st.floats(-12.0, float(np.log10(QUARTER_PI))))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    u1, u2 = rng.random(2)
-    if kind in _PREFIX_DRIFTS:
-        lam = alpha_to_lambda(np.array(_PREFIX_DRIFTS[kind]))
-        g = random_local_pair(rng).matrix()
-        for _ in range(rng.integers(1, 4)):
-            g = drift_exponential(lam, size * rng.random()) @ random_local_pair(rng).matrix() @ g
-        return g
-    a1 = {"a1=pi/4": QUARTER_PI, "a1=pi/4,a3<0": QUARTER_PI, "a1=pi/8": QUARTER_PI / 2}.get(kind, size)
-    a2 = {"a1=a2": a1, "zero": 0.0}.get(kind, u1 * min(a1, size))
-    a3 = {"a2=a3": a2, "a2=-a3": -a2, "a3=0": 0.0, "a1=pi/4,a3<0": -u2 * a2, "zero": 0.0}.get(
-        kind, (2 * u2 - 1) * a2
-    )
-    a = np.array([0.0 if kind == "zero" else a1, a2, a3])
-    left, right = random_local_pair(rng).matrix(), random_local_pair(rng).matrix()
-    return np.exp(2j * np.pi * rng.random()) * left @ gate_of_alpha(a) @ right
-
-
 @settings(max_examples=150, deadline=None)
-@given(st.lists(_content_cases(), min_size=1, max_size=6))
+@given(st.lists(dressed_gates(), min_size=1, max_size=6))
 def test_stacked_content_equals_row_by_row(gs):
     stack = np.array(gs)
     rows = np.array([interaction_content(g) for g in gs])
@@ -267,6 +240,20 @@ def test_kak_matches_content():
     for _ in range(100):
         g = random_special_unitary(4, rng)
         assert np.max(np.abs(kak_decompose(g).alpha - interaction_content(g))) <= 1e-9
+
+
+def test_kak_content_has_the_invariants_of_haar_gates():
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        g = random_unitary(4, rng)
+        assert invariant_gap(content_gate(kak_decompose(g).alpha), g) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(dressed_gates())
+def test_kak_content_has_the_invariants_of_dressed_gates(g):
+    # Contents of 1e-12 .. pi/4 on every chamber wall, and protocol prefixes.
+    assert invariant_gap(content_gate(kak_decompose(g).alpha), g) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

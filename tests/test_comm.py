@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_s_ordered_alpha
 from gateforge import gates
-from gateforge.canonical import QUARTER_PI, interaction_content
+from gateforge.canonical import QUARTER_PI, canonical_reduce, interaction_content
 from gateforge.comm import (
     CommTask,
     GateClass,
@@ -13,7 +14,6 @@ from gateforge.comm import (
     family_gate,
     task_cost,
 )
-from gateforge.cost import interaction_cost
 from gateforge.errors import InfeasibleError
 from gateforge.linalg import is_unitary
 
@@ -81,14 +81,27 @@ def test_task_cost_requires_interaction():
 
 
 def test_task_cost_consistent_with_interaction_cost():
+    # The closed forms are the oracle: task_cost takes its cost from
+    # interaction_cost, so comparing the two would check the code against itself.
     rng = np.random.default_rng(0)
     for _ in range(100):
         alpha = random_s_ordered_alpha(rng)
-        for task in CommTask:
+        a1, a2, a3 = alpha
+        bidirectional = (
+            (np.pi / 2) / (a1 + a2),
+            canonical_reduce(QUARTER_PI * np.array([1.0, 1.0, 2 * a3 / (a1 + a2)])),
+        )
+        closed = {
+            CommTask.CBIT_A_TO_B: (QUARTER_PI / a1, QUARTER_PI * np.array([1.0, 0.0, 0.0])),
+            CommTask.CBIT_BOTH_WAYS: bidirectional,
+            CommTask.QUBIT_A_TO_B: bidirectional,
+            CommTask.QUBIT_A_TO_B_PLUS_CBIT_B_TO_A: bidirectional,
+            CommTask.QUBIT_BOTH_WAYS: ((3 * QUARTER_PI) / (a1 + a2 + abs(a3)), np.full(3, QUARTER_PI)),
+        }
+        for task, (cost, beta) in closed.items():
             report = task_cost(task, alpha)
-            assert report.cost == pytest.approx(
-                interaction_cost(report.optimal_beta, alpha).cost, abs=1e-10
-            )
+            assert report.cost == pytest.approx(cost, rel=1e-12)
+            assert np.max(np.abs(report.optimal_beta - beta)) <= 1e-12
 
 
 def test_task_cost_optimal_beta_class_supports_task():
@@ -149,3 +162,32 @@ def test_family_gate_content_law():
         lhs = np.sin(2 * beta[2]) ** 2
         rhs = np.cos((eta + theta) / 2) ** 2 * np.cos(omega) ** 2
         assert abs(lhs - rhs) <= 1e-8
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.1, 1.5),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    st.floats(-1.0, 1.0),
+    st.floats(-300.0, 308.0),
+)
+@example(1.5, 1.0, 1.0, 308.0)
+@example(1.5, 1.0, -1.0, 308.0)
+def test_task_cost_is_homogeneous_in_the_drift(a1, u2, u3, exponent):
+    # Cost has degree -1 in the drift and the optimal content degree 0.
+    alpha = np.array([a1, a1 * u2, a1 * u2 * u3])
+    s = 10.0**exponent
+    for task in CommTask:
+        base, scaled = task_cost(task, alpha), task_cost(task, s * alpha)
+        assert abs(scaled.cost * s - base.cost) <= 1e-12 * base.cost
+        assert np.max(np.abs(scaled.optimal_beta - base.optimal_beta)) <= 1e-12
+
+
+def test_task_cost_at_the_largest_drift():
+    alpha = np.full(3, 1e308)
+    for task in CommTask:
+        report = task_cost(task, alpha)
+        # Every task costs pi/4 per unit of the leading coupling here.
+        assert report.cost == pytest.approx(QUARTER_PI / 1e308, rel=1e-14)
+        if task is not CommTask.CBIT_A_TO_B:
+            assert np.array_equal(report.optimal_beta, np.full(3, QUARTER_PI))

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import _scan_feasible, random_canonical_alpha, random_s_ordered_alpha
-from gateforge import gates
-from gateforge.canonical import QUARTER_PI, interaction_content, s_order
+from gateforge.canonical import QUARTER_PI, s_order
 from gateforge.cost import (
     OrderVerdict,
     feasible,
@@ -86,20 +86,21 @@ def test_named_gate_cost_ising_vs_exchange_order_reversal():
 
 
 def test_named_gate_cost_matches_optimizer():
+    # The closed forms are the oracle: named_gate_cost is interaction_cost of
+    # a fixed content, so comparing the two would check the code against itself.
     rng = np.random.default_rng(0)
-    contents = {
-        "CNOT": interaction_content(gates.CNOT),
-        "DCNOT": interaction_content(gates.DCNOT),
-        "SWAP": interaction_content(gates.SWAP),
-    }
     for _ in range(100):
         alpha = random_s_ordered_alpha(rng)
-        for name, beta_vec in contents.items():
-            closed = named_gate_cost(name, alpha)
-            assert abs(closed - interaction_cost(beta_vec, alpha).cost) <= 1e-12
+        a1, a2, a3 = alpha
+        closed = {
+            "CNOT": QUARTER_PI / a1,
+            "DCNOT": (np.pi / 2) / (a1 + a2 - abs(a3)),
+            "SWAP": (3 * QUARTER_PI) / (a1 + a2 + abs(a3)),
+        }
+        for name, cost in closed.items():
+            assert named_gate_cost(name, alpha) == pytest.approx(cost, rel=1e-12)
         b = rng.uniform(0, QUARTER_PI)
-        closed = named_gate_cost("CONTROLLED_U", alpha, beta=b)
-        assert abs(closed - interaction_cost(np.array([b, 0, 0]), alpha).cost) <= 1e-12
+        assert named_gate_cost("CONTROLLED_U", alpha, beta=b) == pytest.approx(b / a1, rel=1e-12)
 
 
 def test_named_gate_cost_errors():
@@ -227,3 +228,55 @@ def test_min_time_consistency_with_cost_inside_region():
             continue
         alpha = random_s_ordered_alpha(rng)
         assert interaction_cost(beta, alpha).cost == pytest.approx(min_time(beta, alpha), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Drift scale: cost is homogeneous of degree -1 in the drift
+# ---------------------------------------------------------------------------
+
+#: Drift coefficient moduli: zero or O(1), so that every s * alpha is finite.
+_MODULI = st.one_of(st.just(0.0), st.floats(0.1, 1.5))
+
+
+@st.composite
+def _drifts(draw):
+    raw = [draw(st.floats(0.1, 1.5)), draw(_MODULI), draw(_MODULI)]
+    signs = [draw(st.sampled_from([-1.0, 1.0])) for _ in range(3)]
+    return s_order(np.array(raw) * signs)[0]
+
+
+@st.composite
+def _contents(draw):
+    # a1 >= 0.01 keeps the cost at s = 1e308 far above the subnormal spacing.
+    a1 = draw(st.floats(0.01, QUARTER_PI))
+    a2 = a1 * draw(st.floats(0.0, 1.0))
+    return np.array([a1, a2, a2 * draw(st.floats(-1.0, 1.0))])
+
+
+def _scaled_costs(beta, alpha, s):
+    """Every cost of ``beta`` and the landmarks under ``s * alpha``, times ``s``."""
+    drift = s * alpha
+    costs = [interaction_cost(beta, drift).cost, min_time(beta, drift)]
+    costs += [named_gate_cost(name, drift) for name in ("CNOT", "DCNOT", "SWAP")]
+    costs.append(named_gate_cost("CONTROLLED_U", drift, beta=float(beta[0])))
+    return np.array(costs) * s
+
+
+@settings(max_examples=300, deadline=None)
+@given(_contents(), _drifts(), st.floats(-300.0, 308.0))
+@example(QUARTER_PI * np.ones(3), np.array([1.5, 1.5, 1.5]), 308.0)
+@example(QUARTER_PI * np.ones(3), np.array([1.5, 1.5, -1.5]), 308.0)
+@example(np.array([0.01, 0.0, 0.0]), np.array([0.1, 0.0, 0.0]), -300.0)
+def test_costs_are_homogeneous_in_the_drift(beta, alpha, exponent):
+    base = _scaled_costs(beta, alpha, 1.0)
+    scaled = _scaled_costs(beta, alpha, 10.0**exponent)
+    assert np.all(np.abs(scaled - base) <= 1e-12 * base)
+
+
+def test_costs_at_the_largest_drift():
+    alpha = np.full(3, 1e308)
+    assert interaction_cost(DCNOT_BETA, alpha).cost == (np.pi / 2) / 1e308
+    assert min_time(DCNOT_BETA, alpha) == (np.pi / 2) / 1e308
+    assert named_gate_cost("DCNOT", alpha) == (np.pi / 2) / 1e308
+    assert named_gate_cost("SWAP", alpha) == pytest.approx((np.pi / 4) / 1e308, rel=1e-15)
+    assert named_gate_cost("CNOT", alpha) == pytest.approx((np.pi / 4) / 1e308, rel=1e-15)

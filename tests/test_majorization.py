@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import gateforge
 
 from conftest import random_s_ordered_alpha
 from gateforge.canonical import QUARTER_PI, alpha_to_lambda, s_order
@@ -162,15 +168,31 @@ def test_birkhoff_no_triple_on_non_optimal_instance():
     # The <=3 bound covers time-optimal instances, where the target sits on a
     # face of the permutohedron.  An interior point like mu = 0 at t > 0
     # (simulating the identity while burning time) generically needs four
-    # permutations; the error carries a wider diagnostic certificate.
+    # permutations; the error carries the instance and how close the best
+    # nonnegative triple came.
     lam = np.array([0.9, 0.4, -0.1, -1.2])
     with pytest.raises(NoTripleFoundError) as err:
         birkhoff_express(np.zeros(4), lam, 1.0)
-    fallback = err.value.fallback
-    assert fallback is not None
-    assert len(fallback.terms) > 3
-    assert np.max(np.abs(fallback.apply(lam, 1.0))) <= 1e-8
-    assert sum(w for _, w in fallback.terms) == pytest.approx(1.0, abs=1e-8)
+    assert np.array_equal(err.value.mu, np.zeros(4))
+    assert np.array_equal(err.value.lam, lam)
+    assert err.value.t == 1.0
+    assert 1e-9 < err.value.residual < 1.0
+
+
+def test_no_triple_error_does_not_import_scipy():
+    script = (
+        "import sys, numpy as np\n"
+        "from gateforge.errors import NoTripleFoundError\n"
+        "from gateforge.majorization import birkhoff_express\n"
+        "try:\n"
+        "    birkhoff_express(np.zeros(4), np.array([0.9, 0.4, -0.1, -1.2]), 1.0)\n"
+        "except NoTripleFoundError:\n"
+        "    print('scipy' in sys.modules)\n"
+    )
+    src = str(Path(gateforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_weighting_doubly_stochastic():
