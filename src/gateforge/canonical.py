@@ -182,6 +182,7 @@ def canonical_reduce(a: np.ndarray) -> np.ndarray:
 # Local realizations of lambda permutations and pi/2 shifts.
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def _lambda_perm_for_move(move: SOrderMove) -> tuple[int, ...]:
     """The permutation ``pi`` of drift eigenvalues induced by an even
     signed permutation of alpha: ``lam_out[j] = lam_in[pi[j]]``.

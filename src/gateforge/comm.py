@@ -98,6 +98,7 @@ def task_cost(task: CommTask, alpha: np.ndarray) -> TaskCostReport:
     s-ordered with a positive leading component.
 
     Raises:
+        ValidationError: if a drift component is infinite or NaN.
         InfeasibleError: if ``alpha`` has no interaction at all, or so little
             that the cost overflows.
     """
@@ -111,7 +112,9 @@ def task_cost(task: CommTask, alpha: np.ndarray) -> TaskCostReport:
         beta, hint = np.full(3, QUARTER_PI), "SWAP"
     else:
         # cbit both ways, qubit one way, and qubit+cbit share one optimum.
-        _, a2, a3 = a / a[0]
+        # A non-finite drift gives a nan b; interaction_cost rejects it below.
+        with np.errstate(invalid="ignore"):
+            _, a2, a3 = a / a[0]
         b = a3 / (1.0 + a2)
         beta = canonical_reduce(np.array([QUARTER_PI, QUARTER_PI, 2 * b * QUARTER_PI]))
         hint = f"cbit-family(vartheta={QUARTER_PI * (1 - 2 * b):.12g})"

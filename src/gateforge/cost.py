@@ -114,6 +114,7 @@ def interaction_cost(beta: np.ndarray, alpha: np.ndarray) -> CostReport:
     infinite costs) are reported as branch ``(0,0,0)`` for determinism.
     ``beta`` should be canonical (as produced by
     :func:`gateforge.canonical.interaction_content`) and ``alpha`` s-ordered.
+    Raises ``ValidationError`` if a drift component is infinite or NaN.
     """
     costs, ordered = _min_times(np.asarray(beta, dtype=float) + _BRANCH_SHIFTS, alpha)
     k = int(costs.argmin())
@@ -132,6 +133,7 @@ def named_gate_cost(gate: str, alpha: np.ndarray, beta: float | None = None) -> 
     Raises:
         UnknownGateError: for an unrecognized name.
         BetaOutOfRangeError: if ``beta`` is missing or outside ``[0, pi/4]``.
+        ValidationError: if a drift component is infinite or NaN.
     """
     name = gate.upper()
     if name == "CONTROLLED_U":

@@ -120,7 +120,7 @@ def _synthesize(target: np.ndarray, alpha: np.ndarray) -> tuple[Protocol, Verifi
             hamiltonian_alpha=alpha,
             global_phase=kak.global_phase,
         )
-        return _verified(protocol, target)
+        return _verified(protocol, target, kak.alpha)
 
     # Shift branch: E(beta) = E(beta + (pi/2) n) @ shift_factor(-n).
     branch = np.asarray(report.branch, dtype=int)
@@ -157,11 +157,13 @@ def _synthesize(target: np.ndarray, alpha: np.ndarray) -> tuple[Protocol, Verifi
         hamiltonian_alpha=alpha,
         global_phase=kak.global_phase,
     )
-    return _verified(protocol, target)
+    return _verified(protocol, target, kak.alpha)
 
 
-def _verified(protocol: Protocol, target: np.ndarray) -> tuple[Protocol, VerificationReport]:
-    report = verify(protocol, target, 1e-7)
+def _verified(
+    protocol: Protocol, target: np.ndarray, target_content: np.ndarray
+) -> tuple[Protocol, VerificationReport]:
+    report = _verify(protocol, target, 1e-7, target_content)
     if not report.passed:
         raise SynthesisResidualError(
             f"synthesized protocol misses target by {report.max_abs_error_up_to_phase:.3g}"
@@ -187,10 +189,20 @@ def verify(p: Protocol, target: np.ndarray, tolerance: float = 1e-7) -> Verifica
     Also compares the interaction contents of the simulated and target gates;
     a protocol can only be correct if these agree.
     """
+    return _verify(p, target, tolerance, None)
+
+
+def _verify(
+    p: Protocol, target: np.ndarray, tolerance: float, target_content: np.ndarray | None
+) -> VerificationReport:
+    """:func:`verify`, reusing the target's content when the caller has it."""
     sim = simulate(p)
     error = phase_free_distance(sim, target)
-    contents = interaction_content(np.stack([sim, np.asarray(target, dtype=complex)]))
-    content_error = float(np.linalg.norm(contents[0] - contents[1]))
+    if target_content is None:
+        sim_content, target_content = interaction_content(np.stack([sim, np.asarray(target, dtype=complex)]))
+    else:
+        sim_content = interaction_content(sim)
+    content_error = float(np.linalg.norm(sim_content - target_content))
     return VerificationReport(
         max_abs_error_up_to_phase=error,
         content_error=content_error,

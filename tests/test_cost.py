@@ -13,7 +13,8 @@ from gateforge.cost import (
     named_gate_cost,
     partial_order,
 )
-from gateforge.errors import BetaOutOfRangeError, UnknownGateError
+from gateforge.comm import CommTask, task_cost
+from gateforge.errors import BetaOutOfRangeError, UnknownGateError, ValidationError
 from gateforge.majorization import min_time
 
 CNOT_BETA = QUARTER_PI * np.array([1, 0, 0])
@@ -280,3 +281,21 @@ def test_costs_at_the_largest_drift():
     assert named_gate_cost("DCNOT", alpha) == (np.pi / 2) / 1e308
     assert named_gate_cost("SWAP", alpha) == pytest.approx((np.pi / 4) / 1e308, rel=1e-15)
     assert named_gate_cost("CNOT", alpha) == pytest.approx((np.pi / 4) / 1e308, rel=1e-15)
+
+
+#: Every library cost path: a fixed content, a landmark and each task.
+_COSTS = (
+    lambda a: interaction_cost(DCNOT_BETA, a).cost,
+    lambda a: min_time(DCNOT_BETA, a),
+    lambda a: named_gate_cost("SWAP", a),
+    *(lambda a, task=task: task_cost(task, a).cost for task in CommTask),
+)
+
+
+@pytest.mark.parametrize("alpha", [[math.inf, 0, 0], [math.inf] * 3, [math.nan, 1, 0]])
+def test_costs_reject_a_non_finite_drift(alpha):
+    # All of them go through majorization._min_times, which names the drift.
+    for cost in _COSTS:
+        with pytest.raises(ValidationError, match="not finite"):
+            cost(np.array(alpha))
+    assert all(0 < cost(np.full(3, 1e308)) < math.inf for cost in _COSTS)

@@ -6,15 +6,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gateforge
 
-from conftest import random_s_ordered_alpha
-from gateforge.canonical import QUARTER_PI, alpha_to_lambda, s_order
+from conftest import dressed_gates, random_s_ordered_alpha
+from gateforge.canonical import QUARTER_PI, alpha_to_lambda, interaction_content, s_order
+from gateforge.cost import interaction_cost
 from gateforge.errors import NoTripleFoundError, NotMajorizedError
 from gateforge.majorization import (
+    _PERM_GATHER,
     PERMUTATIONS,
     PermutationWeighting,
+    _search,
     birkhoff_express,
     majorizes,
     min_time,
@@ -156,6 +160,64 @@ def test_birkhoff_drift_next_to_a_wall():
             w = birkhoff_express(mu, lam, t)
             assert len(w.terms) <= 3
             assert np.max(np.abs(w.apply(lam, t) - mu)) <= 1e-9
+
+
+def _full_search(mu, lam, t):
+    """The certificate search over all 24 permutations, scaled as in
+    ``birkhoff_express``."""
+    scale = float(np.max(np.abs(lam * t))) or 1.0
+    return _search(mu / scale, lam[_PERM_GATHER] * t / scale, tuple(range(24)))[0]
+
+
+@st.composite
+def _optimal_instances(draw):
+    """``(mu, lam, t)`` at the optimal time, as synthesis builds them: a dressed
+    gate's content under a random, Ising, XY, Heisenberg or near-wall drift."""
+    beta = interaction_content(draw(dressed_gates()))
+    kind = draw(st.sampled_from(["random", "ising", "xy", "heisenberg", "near-wall"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        alpha = random_s_ordered_alpha(rng)
+    elif kind == "near-wall":
+        a1 = rng.uniform(0.5, 1.5)
+        a2 = rng.uniform(0.2, a1)
+        alpha = np.array([a1, a2, -a2 + 1e-5])
+    else:
+        alpha = np.array({"ising": [1.0, 0, 0], "xy": [1.0, 1, 0], "heisenberg": [1.0, 1, 1]}[kind])
+    used = interaction_cost(beta, alpha).beta_used
+    return alpha_to_lambda(used), alpha_to_lambda(alpha), min_time(used, alpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_optimal_instances())
+def test_birkhoff_face_search_matches_the_full_search(instance):
+    # The tight face holds every certificate, and the search over it keeps
+    # the canonical order: the answer is the all-24 search's, bit for bit.
+    mu, lam, t = instance
+    w = birkhoff_express(mu, lam, t)
+    w.validate()
+    assert w == _full_search(mu, lam, t)
+
+
+def test_birkhoff_without_a_tight_sum_searches_all_permutations():
+    # Halfway between lam and its reverse, t = 1 is above the optimal time:
+    # no partial sum of mu is tight, so there is no face to search first.
+    lam = np.array([0.9, 0.4, -0.1, -1.2])
+    mu = 0.5 * (lam + lam[::-1])
+    assert np.all(np.cumsum(np.sort(mu)[::-1])[:3] < np.cumsum(lam)[:3] - 0.1)
+    w = birkhoff_express(mu, lam, 1.0)
+    w.validate()
+    assert w == _full_search(mu, lam, 1.0)
+    assert np.max(np.abs(w.apply(lam, 1.0) - mu)) <= 1e-9
+
+
+def test_birkhoff_search_over_a_face_too_small_for_a_triple():
+    # Faces of one or two permutations have no pair or triple to try; the
+    # search must come back empty-handed so that the full search runs next.
+    lam = np.array([0.9, 0.4, -0.1, -1.2])
+    columns = lam[_PERM_GATHER] / 1.2
+    for candidates in ((0,), (0, 5)):
+        assert _search(np.zeros(4), columns, candidates) == (None, math.inf)
 
 
 def test_birkhoff_rejects_nonmajorized():
