@@ -345,7 +345,8 @@ def kak_decompose(g: np.ndarray) -> KakDecomposition:
     In the magic basis ``g^T g = O^T D^2 O`` for proper orthogonal ``O``; once
     the eigenvalue branch of ``D`` is fixed so the determinant constraints
     hold, the left factor ``O~ = g O^T D^-1`` comes out real orthogonal and
-    both factors split into single-qubit pairs.  Residual chamber reductions
+    both factors split into single-qubit pairs, in one stacked
+    :func:`kron_factor` call.  Residual chamber reductions
     of alpha are folded into extra local factors so the returned ``alpha`` is
     canonical.
 
@@ -386,12 +387,8 @@ def kak_decompose(g: np.ndarray) -> KakDecomposition:
         left = left @ w.conj().T
         right = w @ right
 
-    decomp = KakDecomposition(
-        post_local=kron_factor(left),
-        alpha=canonical[0],
-        pre_local=kron_factor(right),
-        global_phase=phase,
-    )
+    post_local, pre_local = kron_factor(np.stack([left, right]))
+    decomp = KakDecomposition(post_local=post_local, alpha=canonical[0], pre_local=pre_local, global_phase=phase)
     residual = np.max(np.abs(decomp.matrix() - g))
     if residual > tol.RESIDUAL:
         raise BranchResolutionError(f"reassembly residual {residual:.3g} exceeds 1e-8")

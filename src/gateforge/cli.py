@@ -36,7 +36,7 @@ import numpy as np
 from . import comm, cost, gates, protocol, tolerances
 from .canonical import _s_sort, alpha_to_lambda, hamiltonian_canonical, interaction_content, kak_decompose
 from .errors import GateforgeError, InfeasibleError, NonUnitaryError, ValidationError
-from .linalg import LocalUnitaryPair, is_unitary
+from .linalg import LocalUnitaryPair, _first_row_over, _unitarity_gap, is_unitary
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -71,12 +71,14 @@ def _json_matrix2(m: np.ndarray) -> list[list[list[float]]]:
     return [[_json_complex(m[i, j]) for j in range(2)] for i in range(2)]
 
 
-def _complex_from(pair) -> complex:
-    return complex(float(pair[0]), float(pair[1]))
-
-
-def _matrix2_from(rows) -> np.ndarray:
-    return np.array([[_complex_from(rows[i][j]) for j in range(2)] for i in range(2)])
+def _unit_phase_from(pair, what: str) -> complex:
+    """A serialized phase scaled to unit modulus, which its 10 digits only
+    approximate; a zero or non-finite phase raises ``ValidationError``
+    naming ``what``."""
+    phase = complex(float(pair[0]), float(pair[1]))
+    if not (math.isfinite(abs(phase)) and phase != 0):
+        raise ValidationError(f"{what} must be a finite nonzero [re, im] pair")
+    return phase / abs(phase)
 
 
 def _pair_to_json(pair: LocalUnitaryPair) -> dict:
@@ -88,23 +90,34 @@ def _pair_to_json(pair: LocalUnitaryPair) -> dict:
 
 
 def _closest_unitary(m: np.ndarray) -> np.ndarray:
+    """The unitary polar factor of ``m``, or of each matrix of a stack."""
     u, _, vh = np.linalg.svd(m)
     return u @ vh
 
 
-def _pair_from_json(obj: dict) -> LocalUnitaryPair:
-    """Reconstructs a pair, projecting each factor back onto an exact unitary.
+def _pairs_from_json(objs: list, names: list[str]) -> list[LocalUnitaryPair]:
+    """Reconstructs serialized pairs, named ``names`` in errors.
 
-    Serialized entries carry 10 significant digits, so the raw factors are
-    unitary only to ~1e-9; the polar projection restores the type invariant
-    without moving any entry by more than the serialization error.
+    A factor is admitted when it is unitary within the RESIDUAL tier, the
+    rule gates are loaded by, and a phase when it is finite and nonzero.
+    Serialized entries carry 10 significant digits, so admitted factors are
+    unitary only to ~1e-9; all of them are projected back onto exact
+    unitaries in one batched polar projection, which moves no entry by more
+    than the serialization error, and each phase is scaled to unit modulus.
     """
-    phase = _complex_from(obj["phase"])
-    return LocalUnitaryPair(
-        _closest_unitary(_matrix2_from(obj["u_a"])),
-        _closest_unitary(_matrix2_from(obj["u_b"])),
-        phase / abs(phase),
-    )
+    factors = _reals(
+        [(obj["u_a"], obj["u_b"]) for obj in objs],
+        (len(objs), 2, 2, 2, 2),
+        "u_a and u_b must be 2x2 matrices of finite [re, im] pairs",
+    ).view(complex)[..., 0]
+    gap = _unitarity_gap(factors.reshape(-1, 2, 2))
+    if not gap.max() <= tolerances.RESIDUAL:
+        row, _ = _first_row_over(gap, tolerances.RESIDUAL)
+        raise NonUnitaryError(
+            f"{names[row // 2]} {('u_a', 'u_b')[row % 2]} is not unitary within {tolerances.RESIDUAL:g}"
+        )
+    phases = [_unit_phase_from(obj["phase"], f"{name} phase") for obj, name in zip(objs, names)]
+    return [LocalUnitaryPair(u_a, u_b, phase) for (u_a, u_b), phase in zip(_closest_unitary(factors), phases)]
 
 
 def protocol_to_json(p: protocol.Protocol) -> dict:
@@ -123,23 +136,35 @@ def protocol_to_json(p: protocol.Protocol) -> dict:
 
 
 def protocol_from_json(obj: dict) -> protocol.Protocol:
+    """Loads a protocol object (see the module docstring for fields).
+
+    Every local pair is checked and projected by :func:`_pairs_from_json`,
+    all of them as one stack; ``global_phase`` is scaled to unit modulus as
+    the pair phases are.
+
+    Raises:
+        ValidationError: naming the field at fault: a drift or duration that
+            is not finite, a total drift phase that overflows, a factor that
+            is not unitary within 1e-8, or a zero or non-finite pair phase or
+            ``global_phase``.
+    """
     alpha = _reals(obj["hamiltonian_alpha"], (3,), "hamiltonian_alpha must be a finite 3-vector")
-    durations = [float(seg["duration"]) for seg in obj["segments"]]
+    segments = obj["segments"]
+    durations = [float(seg["duration"]) for seg in segments]
     for i, duration in enumerate(durations):
         if not math.isfinite(duration):
             raise ValidationError(f"segment {i} duration must be a finite number")
     # |a1| + |a2| + |a3| is the largest modulus of a drift eigenvalue.
     if not math.isfinite(sum(map(abs, durations)) * sum(map(abs, alpha.tolist()))):
         raise ValidationError("the total drift phase of the protocol overflows")
+    names = ["opening", *(f"segment {i}" for i in range(len(segments))), "closing"]
+    opening, *locals_, closing = _pairs_from_json([obj["opening"], *segments, obj["closing"]], names)
     return protocol.Protocol(
-        opening=_pair_from_json(obj["opening"]),
-        segments=tuple(
-            protocol.Segment(local=_pair_from_json(seg), duration=duration)
-            for seg, duration in zip(obj["segments"], durations)
-        ),
-        closing=_pair_from_json(obj["closing"]),
+        opening=opening,
+        segments=tuple(protocol.Segment(local, duration) for local, duration in zip(locals_, durations)),
+        closing=closing,
         hamiltonian_alpha=alpha,
-        global_phase=_complex_from(obj["global_phase"]),
+        global_phase=_unit_phase_from(obj["global_phase"], "global_phase"),
     )
 
 

@@ -50,8 +50,9 @@ _MAGIC_DAG = MAGIC.conj().T
 
 
 def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two 2x2 matrices, by broadcasting (no wrapper overhead)."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+    """``np.kron`` of two 2x2 matrices, or of each pair of two stacks
+    ``(..., 2, 2)``, by broadcasting (no wrapper overhead)."""
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*a.shape[:-2], 4, 4)
 
 
 def _unitarity_gap(rows: np.ndarray) -> np.ndarray:
@@ -241,7 +242,7 @@ def joint_diagonalize_symmetric_unitary(m: np.ndarray) -> tuple[np.ndarray, np.n
     return (o, theta) if stacked else (o[0], theta[0])
 
 
-def kron_factor(m: np.ndarray) -> LocalUnitaryPair:
+def kron_factor(m: np.ndarray) -> LocalUnitaryPair | tuple[LocalUnitaryPair, ...]:
     """Factors a product operator into ``phase * (A (x) B)``.
 
     Works by rearranging ``m`` into the 4x4 matrix whose rank counts the
@@ -250,47 +251,62 @@ def kron_factor(m: np.ndarray) -> LocalUnitaryPair:
     first above-threshold entry of each factor has argument in (-pi/2, pi/2]
     (real nonnegative whenever a sign flip can achieve it).
 
+    ``m`` is one 4x4 matrix or a stack ``(n, 4, 4)``.  A stack goes through
+    one batched ``svd`` and one batched ``det`` and returns a tuple of ``n``
+    pairs; a single matrix is the ``n = 1`` case of the same code and returns
+    its pair, so each matrix of a stack gets exactly the pair it gets alone.
+
     Raises:
-        NonUnitaryError: if ``m`` is not unitary.
+        NonUnitaryError: if ``m`` is not unitary within 1e-8.
         NotAProductError: if the second singular value of the rearranged
-            matrix exceeds 1e-8, i.e. ``m`` is genuinely non-local.
+            matrix exceeds 1e-8, i.e. ``m`` is genuinely non-local, or the
+            factors fail to reassemble ``m`` within 1e-8; ``residual`` holds
+            the offending value.
+        For a stack, the message names the first failing row.
     """
     m = _require_unitary(m, "product candidate", atol=tol.RESIDUAL)
-    r = m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    stacked = m.ndim == 3
+    ms = m if stacked else m[None]
+    n = len(ms)
+    r = ms.reshape(n, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(n, 4, 4)
     u, sv, vh = np.linalg.svd(r)
-    if sv[1] > 1e-8:
+    if not sv[:, 1].max() <= 1e-8:
+        row, second = _first_row_over(sv[:, 1, None, None], 1e-8)
         raise NotAProductError(
-            f"second Kronecker singular value {sv[1]:.3g} exceeds 1e-8", residual=float(sv[1])
+            f"second Kronecker singular value {second:.3g}{_row_label(stacked, row)} exceeds 1e-8",
+            residual=second,
         )
-    a = u[:, 0].reshape(2, 2) * np.sqrt(2)
-    b = vh[0, :].reshape(2, 2) * (sv[0] / np.sqrt(2))
-
-    a = a / np.sqrt(np.linalg.det(a))
-    b = b / np.sqrt(np.linalg.det(b))
-    kron = _kron2(a, b)
-    idx = np.unravel_index(np.argmax(np.abs(kron)), kron.shape)
-    phase = m[idx] / kron[idx]
-    phase = phase / abs(phase)
-
-    a, flip_a = _sign_gauge(a)
-    b, flip_b = _sign_gauge(b)
-    phase = phase * flip_a * flip_b
-
-    residual = np.max(np.abs(m - phase * _kron2(a, b)))
-    if residual > 1e-8:
+    # ab[:, 0] and ab[:, 1] are the factors A and B, scaled to determinant one.
+    ab = np.stack([u[:, :, 0] * np.sqrt(2), vh[:, 0] * (sv[:, :1] / np.sqrt(2))], axis=1).reshape(n, 2, 2, 2)
+    ab = ab / np.sqrt(np.linalg.det(ab))[..., None, None]
+    rows = np.arange(n)
+    kron = _kron2(ab[:, 0], ab[:, 1])
+    flat = kron.reshape(n, 16)
+    idx = np.abs(flat).argmax(axis=-1)
+    phase = ms.reshape(n, 16)[rows, idx] / flat[rows, idx]
+    # np.hypot rounds as abs() of one complex does; numpy's vectorized
+    # complex abs may differ from it in the last bit.
+    phase = phase / np.hypot(phase.real, phase.imag)
+    # The sign gauge below flips factors and phase together, so the
+    # reassembly residual does not depend on it.
+    residual = np.abs(ms - phase[:, None, None] * kron)
+    if not residual.max() <= 1e-8:
+        row, worst = _first_row_over(residual, 1e-8)
         raise NotAProductError(
-            f"product reassembly residual {residual:.3g} exceeds 1e-8", residual=float(residual)
+            f"product reassembly residual {worst:.3g}{_row_label(stacked, row)} exceeds 1e-8",
+            residual=worst,
         )
-    return LocalUnitaryPair(a, b, phase)
 
-
-def _sign_gauge(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Flips the overall sign so the leading entry has argument in (-pi/2, pi/2]."""
-    flat = a.ravel()
-    lead = flat[np.argmax(np.abs(flat) > 1e-8)]
-    if lead.real < -1e-12 or (abs(lead.real) <= 1e-12 and lead.imag < 0):
-        return -a, -1.0
-    return a, 1.0
+    # Sign gauge: negate a factor whose leading entry (its first above 1e-8)
+    # has argument outside (-pi/2, pi/2], and the phase with it.
+    entries = ab.reshape(2 * n, 4)
+    lead = entries[np.arange(2 * n), (np.abs(entries) > 1e-8).argmax(axis=-1)].reshape(n, 2)
+    flip = (lead.real < -1e-12) | ((np.abs(lead.real) <= 1e-12) & (lead.imag < 0))
+    ab = np.where(flip[..., None, None], -ab, ab)
+    sign = np.where(flip, -1.0, 1.0)
+    phase = phase * sign[:, 0] * sign[:, 1]
+    pairs = tuple(LocalUnitaryPair(a, b, z) for (a, b), z in zip(ab, phase))
+    return pairs if stacked else pairs[0]
 
 
 def so4_to_local(o: np.ndarray) -> LocalUnitaryPair:

@@ -26,7 +26,7 @@ from .canonical import (
 )
 from .cost import _feasible_rows, interaction_cost
 from .errors import InfeasibleError, NegativeDurationError, SynthesisResidualError
-from .linalg import LocalUnitaryPair, drift_exponential, from_magic, kron_factor, to_magic
+from .linalg import LocalUnitaryPair, _kron2, from_magic, kron_factor, to_magic
 from .majorization import birkhoff_express
 
 
@@ -67,13 +67,53 @@ class VerificationReport:
     passed: bool
 
 
+def _magic_locals(p: Protocol) -> np.ndarray:
+    """The protocol's local pairs (opening, one per segment, closing) as one
+    ``(k, 4, 4)`` stack in the magic basis."""
+    pairs = (p.opening, *(seg.local for seg in p.segments), p.closing)
+    factors = np.array([(pair.u_a, pair.u_b) for pair in pairs], dtype=complex)
+    phases = np.array([pair.phase for pair in pairs], dtype=complex)
+    return to_magic(phases[:, None, None] * _kron2(factors[:, 0], factors[:, 1]))
+
+
+def _durations(p: Protocol) -> np.ndarray:
+    """The segment durations.
+
+    Raises:
+        NegativeDurationError: if a segment has a negative duration.
+    """
+    durations = np.array([seg.duration for seg in p.segments], dtype=float)
+    if np.any(durations < 0):
+        raise NegativeDurationError(f"duration {durations[durations < 0][0]} is negative")
+    return durations
+
+
+def _running_products(m: np.ndarray) -> np.ndarray:
+    """``m[k] @ ... @ m[0]`` for every ``k`` of a stack ``(n, 4, 4)``, in
+    ``ceil(log2 n)`` batched products (a Hillis-Steele scan)."""
+    m = m.copy()
+    step = 1
+    while step < len(m):
+        m[step:] = m[step:] @ m[:-step]
+        step *= 2
+    return m
+
+
 def simulate(p: Protocol) -> np.ndarray:
-    """Exact matrix of the gate a protocol performs."""
+    """Exact matrix of the gate a protocol performs.
+
+    All locals enter the magic basis in one batched change, where each drift
+    is a diagonal phase that scales the rows of the local before it; the
+    chain of ``k`` factors is multiplied out in ``ceil(log2 k)`` batched
+    products and leaves the magic basis once.
+
+    Raises:
+        NegativeDurationError: if a segment has a negative duration.
+    """
     lam = alpha_to_lambda(p.hamiltonian_alpha)
-    u = p.opening.matrix()
-    for seg in p.segments:
-        u = drift_exponential(lam, seg.duration) @ seg.local.matrix() @ u
-    return p.global_phase * (p.closing.matrix() @ u)
+    locals_ = _magic_locals(p)
+    locals_[1:-1] *= np.exp(-1j * lam * _durations(p)[:, None])[..., None]
+    return p.global_phase * from_magic(_running_products(locals_)[-1])
 
 
 def synthesize(target: np.ndarray, alpha: np.ndarray) -> Protocol:
@@ -142,13 +182,13 @@ def _synthesize(target: np.ndarray, alpha: np.ndarray) -> tuple[Protocol, Verifi
     durations = [t for _, t in terms]
 
     # target = post conj^dag [prod_i L_i E(t_i) L_i^dag] conj shift pre phase;
-    # regroup so each drift is preceded by one merged local.
-    opening = kron_factor(conjugators[0].conj().T @ conj @ shift_local @ pre)
-    segments = [Segment(LocalUnitaryPair.identity(), durations[0])]
-    for i in range(1, len(terms)):
-        merged = kron_factor(conjugators[i].conj().T @ conjugators[i - 1])
-        segments.append(Segment(merged, durations[i]))
-    closing = kron_factor(post @ conj.conj().T @ conjugators[-1])
+    # regroup so each drift is preceded by one merged local, and factor the
+    # opening, the merged locals and the closing in one stacked call.
+    products = [conjugators[0].conj().T @ conj @ shift_local @ pre]
+    products += [after.conj().T @ before for before, after in zip(conjugators, conjugators[1:])]
+    products.append(post @ conj.conj().T @ conjugators[-1])
+    opening, *merged, closing = kron_factor(np.stack(products))
+    segments = [Segment(local, t) for local, t in zip([LocalUnitaryPair.identity(), *merged], durations)]
 
     protocol = Protocol(
         opening=opening,
@@ -229,20 +269,17 @@ def trajectory_check(
     """
     if not p.segments:
         return True
-    durations = np.array([seg.duration for seg in p.segments], dtype=float)
-    if np.any(durations < 0):
-        raise NegativeDurationError(f"duration {durations[durations < 0][0]} is negative")
+    durations = _durations(p)
     fractions = np.append(np.arange(1, samples_per_segment + 1) / (samples_per_segment + 1), 1.0)
     into_segment = fractions * durations[:, None]
     elapsed = np.concatenate([[0.0], np.cumsum(durations)[:-1]])[:, None] + into_segment
     # Magic-basis drift phases for each prefix; the last column ends the segment.
     phases = np.exp(-1j * alpha_to_lambda(p.hamiltonian_alpha) * into_segment[..., None])
-    starts = np.empty((len(p.segments), 4, 4), dtype=complex)
-    u = to_magic(p.opening.matrix())
-    for k, seg in enumerate(p.segments):
-        u = to_magic(seg.local.matrix()) @ u
-        starts[k] = u
-        u = phases[k, -1][:, None] * u
+    # Chain factors: the opening, then each segment's local with its whole
+    # drift applied; a segment starts from its local times the chain before it.
+    locals_ = _magic_locals(p)[:-1]
+    chain = np.concatenate([locals_[:1], phases[:, -1, :, None] * locals_[1:]])
+    starts = locals_[1:] @ _running_products(chain)[:-1]
     prefixes = from_magic(phases[..., None] * starts[:, None])
     gamma = interaction_content(prefixes.reshape(-1, 4, 4))
     return bool(np.all(_feasible_rows(gamma, p.hamiltonian_alpha, elapsed.ravel(), atol) >= 0))

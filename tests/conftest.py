@@ -84,6 +84,16 @@ def _scan_feasible(beta, alpha, t, atol=0.0):
     )
 
 
+def reference_simulate(p):
+    """The gate a protocol performs, segment by segment: each local pair's
+    4x4 matrix and each drift exponential multiplied in turn."""
+    lam = alpha_to_lambda(p.hamiltonian_alpha)
+    u = p.opening.matrix()
+    for seg in p.segments:
+        u = drift_exponential(lam, seg.duration) @ seg.local.matrix() @ u
+    return p.global_phase * (p.closing.matrix() @ u)
+
+
 #: Places in the chamber pi/4 >= a1 >= a2 >= |a3| that a drawn content sits on.
 _WALLS = ("interior", "a1=a2", "a2=a3", "a2=-a3", "a3=0", "a1=pi/4", "a1=pi/4,a3<0", "a1=pi/8", "zero")
 #: Degenerate drifts whose multi-segment prefixes are drawn as well.

@@ -417,6 +417,58 @@ def test_non_finite_segment_duration_is_a_validation_error(duration, message):
         _run({"cmd": "verify", "gate": "CNOT", "protocol": p}, False)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p["opening"].update(u_a=(2 * np.array(p["opening"]["u_a"])).tolist()),
+         "opening u_a is not unitary within 1e-08"),
+        (lambda p: p["segments"][0].update(u_b=[[[0.0, 0.0]] * 2] * 2), "segment 0 u_b is not unitary within 1e-08"),
+        (lambda p: p["closing"].update(u_b=(np.array(p["closing"]["u_b"]) * (1 + 2e-8)).tolist()),
+         "closing u_b is not unitary within 1e-08"),
+        (lambda p: p["closing"].update(phase=[0.0, 0.0]), "closing phase must be a finite nonzero"),
+        (lambda p: p["segments"][0].update(phase=[float("nan"), 0.0]), "segment 0 phase must be a finite nonzero"),
+        (lambda p: p["opening"].update(phase=[float("inf"), 1.0]), "opening phase must be a finite nonzero"),
+        (lambda p: p.update(global_phase=[0.0, 0.0]), "global_phase must be a finite nonzero"),
+    ],
+    ids=["doubled", "all_zero", "just_outside_tier", "zero_phase", "nan_phase", "inf_phase", "zero_global_phase"],
+)
+def test_protocol_factors_must_be_unitary_and_phases_finite_and_nonzero(edit, message):
+    # Projected onto a unitary unchecked, a doubled or all-zero factor gave
+    # "passed": true, and a zero phase an untyped "complex division by zero".
+    p = json.loads(json.dumps(protocol_to_json(synthesize(gates.CNOT, np.array([1.0, 0.6, -0.3])))))
+    assert p["segments"]
+    assert _run({"cmd": "verify", "gate": "CNOT", "protocol": p}, False)["passed"]  # 10 digits still load
+    edit(p)
+    with pytest.raises(ValidationError, match=message):
+        protocol_from_json(p)
+    with pytest.raises(ValidationError, match=message):
+        _run({"cmd": "verify", "gate": "CNOT", "protocol": p}, False)
+
+
+def test_protocol_factor_unitary_within_the_residual_tier_loads():
+    p = protocol_to_json(synthesize(gates.CNOT, np.array([1.0, 0.6, -0.3])))
+    p["closing"]["u_b"] = (np.array(p["closing"]["u_b"]) * (1 + 2e-9)).tolist()
+    assert _run({"cmd": "verify", "gate": "CNOT", "protocol": p}, False)["passed"]
+
+
+def test_synth_protocols_of_random_gates_verify_after_the_json_round_trip():
+    # At 10 digits a global phase is unit-modulus only to ~1e-10; loaded
+    # as written, it made about half of these fail with NonUnitaryError on
+    # the simulated gate.
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        gate = {"matrix": [[z.real, z.imag] for z in random_unitary(4, rng).ravel()]}
+        p = json.loads(json.dumps(_run({"cmd": "synth", "gate": gate, "alpha": [1, 0.6, -0.3]}, False)["protocol"]))
+        assert _run({"cmd": "verify", "gate": gate, "protocol": p}, False)["passed"]
+
+
+def test_batch_verify_of_an_all_zero_factor_is_an_error_line(capsys, tmp_path):
+    p = protocol_to_json(synthesize(gates.CNOT, np.array([1.0, 0.6, -0.3])))
+    p["opening"]["u_a"] = [[[0.0, 0.0]] * 2] * 2
+    [out] = run_batch(capsys, tmp_path, [{"cmd": "verify", "gate": "CNOT", "protocol": p}])
+    assert out == {"ok": False, "error": "opening u_a is not unitary within 1e-08"}
+
+
 def test_overflowing_drift_is_a_validation_error():
     # Drift eigenvalues of 3e308 overflow: unchecked, synth raises an untyped
     # ValueError and cost and commcost answer 0.

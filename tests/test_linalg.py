@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    dressed_gates,
     random_local_pair,
     random_proper_orthogonal,
     random_su2,
     random_unitary,
 )
 from gateforge import gates
+from gateforge.canonical import kak_decompose
+from gateforge.cli import _sig
 from gateforge.errors import (
     ImproperRotationError,
     NegativeDurationError,
@@ -252,6 +256,52 @@ def test_kron_factor_rejects_entangling_gate():
     with pytest.raises(NotAProductError) as err:
         kron_factor(gates.CNOT)
     assert err.value.residual > 1e-3
+
+
+def _assert_rows_factor_as_alone(stack):
+    # Each row of a stacked call must get exactly the pair it gets alone.
+    pairs = kron_factor(stack)
+    assert isinstance(pairs, tuple) and len(pairs) == len(stack)
+    for m, pair in zip(stack, pairs):
+        alone = kron_factor(m)
+        assert np.array_equal(pair.u_a, alone.u_a)
+        assert np.array_equal(pair.u_b, alone.u_b)
+        assert pair.phase == alone.phase
+
+
+def _round10(m):
+    """Each real and imaginary part at the CLI's 10 significant digits."""
+    r = np.vectorize(_sig)
+    return r(m.real) + 1j * r(m.imag)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), rounded=st.booleans())
+def test_kron_factor_stack_rows_equal_single_calls(seed, n, rounded):
+    rng = np.random.default_rng(seed)
+    stack = np.array(
+        [np.exp(2j * np.pi * rng.random()) * np.kron(random_su2(rng), random_su2(rng)) for _ in range(n)]
+    )
+    _assert_rows_factor_as_alone(_round10(stack) if rounded else stack)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=dressed_gates())
+def test_kron_factor_stack_of_kak_locals_equals_single_calls(g):
+    kak = kak_decompose(g)
+    _assert_rows_factor_as_alone(np.stack([kak.post_local.matrix(), kak.pre_local.matrix()]))
+
+
+def test_kron_factor_stack_names_failing_row():
+    rng = np.random.default_rng(12)
+    stack = np.array([np.kron(random_su2(rng), random_su2(rng)) for _ in range(3)])
+    stack[1] = gates.CNOT
+    with pytest.raises(NotAProductError, match="second Kronecker singular value .* in row 1 exceeds") as err:
+        kron_factor(stack)
+    assert err.value.residual > 1e-3
+    stack[1] = 1.1 * np.eye(4)
+    with pytest.raises(NonUnitaryError, match="row 1"):
+        kron_factor(stack)
 
 
 def test_so4_to_local_identity():

@@ -8,7 +8,9 @@ from conftest import (
     invariant_gap,
     random_local_pair,
     random_s_ordered_alpha,
+    random_su2,
     random_unitary,
+    reference_simulate,
 )
 from gateforge import gates
 from gateforge.canonical import (
@@ -253,6 +255,32 @@ def test_trajectory_check_matches_scan_reference(drift):
     assert seen == {True, False}
     empty = empty_protocol(np.array(drift if drift is not None else (1.0, 0.5, 0.2)))
     assert trajectory_check(empty, atol=-1e-3) == _reference_trajectory_check(empty, atol=-1e-3) is True
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_simulate_matches_the_segment_by_segment_product(scale):
+    rng = np.random.default_rng(41)
+
+    def pair():
+        return LocalUnitaryPair(random_su2(rng), random_su2(rng), np.exp(2j * np.pi * rng.random()))
+
+    for n in range(11):
+        for _ in range(4):
+            segments = tuple(
+                Segment(pair(), 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 1.0))) for _ in range(n)
+            )
+            p = Protocol(pair(), segments, pair(), random_s_ordered_alpha(rng) * scale,
+                         np.exp(2j * np.pi * rng.random()))
+            assert np.max(np.abs(simulate(p) - reference_simulate(p))) <= 1e-13
+
+
+def test_simulate_and_verify_reject_negative_duration():
+    identity = LocalUnitaryPair.identity()
+    p = Protocol(identity, (Segment(identity, 0.5), Segment(identity, -0.1)), identity, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(NegativeDurationError, match="-0.1"):
+        simulate(p)
+    with pytest.raises(NegativeDurationError, match="-0.1"):
+        verify(p, np.eye(4))
 
 
 def test_trajectory_check_rejects_negative_duration():
