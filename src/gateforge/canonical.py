@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tolerances as tol
-from .errors import BranchResolutionError, NotTracelessError
+from .errors import BranchResolutionError, NotTracelessError, ValidationError
 from .linalg import (
     PAULIS,
     PAULI_PAIRS,
@@ -472,10 +472,13 @@ def hamiltonian_canonical(c: np.ndarray) -> tuple[np.ndarray, LocalUnitaryPair]:
     vector ``alpha`` (not capped at pi/4: Hamiltonian strength is unbounded).
     The rotations lift to an SU(2) conjugator pair ``(U, V)`` with
     ``(U (x) V) H_c (U (x) V)^dag = H_alpha``.
+
+    Raises:
+        ValidationError: if ``c`` is not 3x3 or has an infinite or NaN entry.
     """
     c = np.asarray(c, dtype=float)
-    if c.shape != (3, 3):
-        raise ValueError("coupling matrix must be 3x3")
+    if c.shape != (3, 3) or not np.isfinite(c).all():
+        raise ValidationError(f"coupling matrix of shape {c.shape} is not a finite 3x3 real matrix")
     o1, sigma, o2t = np.linalg.svd(c)
     o2 = o2t.T
     d1 = np.linalg.det(o1)

@@ -5,13 +5,14 @@ The cost of realizing a gate with content ``beta`` from a drift ``alpha``
 under instantaneous local control is the smallest ``t`` such that a pi/2
 shift of ``beta`` is s-majorized by ``alpha * t``.  For canonical ``beta``
 only the shifts ``(0,0,0)`` and ``(-1,0,0)`` can ever win, so both the cost
-optimizer and the feasibility test look at these two branches alone, s-order
-both shifted rows in one call and compare their s-majorization partial sums
-(:mod:`gateforge.majorization`).  The test suite checks both against a scan
-over every shift in {-2..2}^3.  Every cost, that of a named landmark gate
-or of a communication task too, is this two-branch minimal time, taken on the
-drift in units of its leading component: it is exact at every finite drift
-scale.
+optimizer and the feasibility test look at these two branches alone.  Both
+read one minimal time per branch from ``majorization._min_times``: the cost
+is the smaller time, and a content is feasible at ``t`` when a branch's time,
+taken with the test's slack, is at most ``t``.  The test suite checks both
+against a scan over every shift in {-2..2}^3.  Every cost, that of a named
+landmark gate or of a communication task too, is this two-branch minimal
+time, taken on the drift in units of its leading component: cost and
+feasibility are exact at every finite drift scale.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .canonical import HALF_PI, QUARTER_PI, _s_sort, is_canonical
-from .errors import BetaOutOfRangeError, UnknownGateError
-from .majorization import _min_times, _s_sums, s_majorizes
+from .canonical import HALF_PI, QUARTER_PI, is_canonical
+from .errors import BetaOutOfRangeError, NegativeDurationError, UnknownGateError, ValidationError
+from .majorization import _min_times, s_majorizes
 
 #: The only shifts of a canonical content that can be s-majorized first,
 #: in the order they are tried.
@@ -73,14 +74,13 @@ def _feasible_rows(beta: np.ndarray, alpha: np.ndarray, t: np.ndarray, atol: flo
     at times ``t`` (n,).
 
     Row ``i`` gets the index into :data:`_BRANCHES` of the first branch whose
-    shift of ``beta[i]`` is s-majorized by ``alpha * t[i]`` with slack
-    ``atol`` on each of the three inequalities, or -1 when neither is.
+    minimal time with slack ``atol`` is finite and at most ``t[i]``, or -1
+    when neither is.
     """
     beta = np.asarray(beta, dtype=float)
-    reach = _s_sums(_s_sort(np.asarray(alpha, dtype=float) * np.asarray(t, dtype=float)[:, None])[0])
-    shifted, _ = _s_sort((beta[:, None, :] + _BRANCH_SHIFTS).reshape(-1, 3))
-    need = _s_sums(shifted).reshape(len(beta), len(_BRANCHES), 3)
-    ok = np.all(reach[:, None, :] >= need - atol, axis=-1)
+    times, _ = _min_times((beta[:, None, :] + _BRANCH_SHIFTS).reshape(-1, 3), alpha, atol)
+    times = times.reshape(len(beta), len(_BRANCHES))
+    ok = (times <= np.asarray(t, dtype=float)[:, None]) & (times < math.inf)
     return np.where(ok[:, 0], 0, np.where(ok[:, 1], 1, -1))
 
 
@@ -96,13 +96,26 @@ def feasible(
     Tries the branches ``(0,0,0)`` and ``(-1,0,0)`` in that order and returns
     the first hit, or ``(False, None)``.  For a canonical ``beta`` (as
     produced by :func:`gateforge.canonical.interaction_content`) no other
-    shift can be feasible when these two are not.
+    shift can be feasible when these two are not.  A branch is feasible when
+    its minimal time with slack ``atol``, taken as :func:`interaction_cost`
+    takes it, is at most ``t``: at ``atol = 0`` the content is feasible at
+    its own cost, at every drift scale.  A drift without interaction
+    (``a1 = 0``) reaches the content at every ``t`` if each slack-lowered
+    partial sum is within ``STRUCTURAL``, the rule the cost uses, and at no
+    ``t`` otherwise.
 
     Raises:
         BetaOutOfRangeError: if ``beta`` is not canonical.
+        NegativeDurationError: if ``t`` is negative.
+        ValidationError: if ``t`` is NaN, or a drift component is infinite
+            or NaN.
     """
     if not is_canonical(beta):
         raise BetaOutOfRangeError(f"content {np.asarray(beta).tolist()} is not canonical")
+    if math.isnan(t):
+        raise ValidationError("time is NaN")
+    if t < 0:
+        raise NegativeDurationError(f"time {t} is negative")
     k = int(_feasible_rows(np.asarray(beta, dtype=float)[None], alpha, np.array([t], dtype=float), atol)[0])
     return (True, _BRANCHES[k]) if k >= 0 else (False, None)
 

@@ -5,7 +5,9 @@ builds a certificate: over the tight face's few permutations first, over all
 24 only when that finds nothing, in the same canonical order.
 
 The three s-majorization partial sums are written once, row-wise, in
-``_s_sums``; ``gateforge.cost`` compares them too.
+``_s_sums``; ``_min_times`` reads them as a minimal time, which is both the
+interaction cost and, compared with a given time, the feasibility test of
+``gateforge.cost``.
 """
 
 from __future__ import annotations
@@ -49,9 +51,16 @@ def majorizes(x: np.ndarray, y: np.ndarray, atol: float = tol.STRUCTURAL) -> boo
 
 def _s_sums(rows: np.ndarray) -> np.ndarray:
     """The three partial sums compared by s-majorization, for s-ordered rows
-    ``(..., 3)``: ``a1``, ``a1 + a2 - a3`` and ``a1 + a2 + a3``."""
+    ``(..., 3)``: ``a1``, ``a1 + a2 - a3`` and ``a1 + a2 + a3``.  They are
+    written into one preallocated array, at about half the cost of stacking
+    the three columns: the cost and every feasibility test come here."""
     a1, a2, a3 = rows[..., 0], rows[..., 1], rows[..., 2]
-    return np.stack([a1, a1 + a2 - a3, a1 + a2 + a3], axis=-1)
+    sums = np.empty(rows.shape)
+    sums[..., 0] = a1
+    pair = a1 + a2
+    np.subtract(pair, a3, out=sums[..., 1])
+    np.add(pair, a3, out=sums[..., 2])
+    return sums
 
 
 def s_majorizes(a: np.ndarray, b: np.ndarray, atol: float = tol.STRUCTURAL) -> bool:
@@ -65,23 +74,31 @@ def s_majorizes(a: np.ndarray, b: np.ndarray, atol: float = tol.STRUCTURAL) -> b
     return bool(np.all(sums_a >= sums_b - atol))
 
 
-def _min_times(targets: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _min_times(targets: np.ndarray, alpha: np.ndarray, slack: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise :func:`min_time` of the targets ``(n, 3)`` against the drift
     ``alpha``, and the targets s-ordered together with the drift.
+
+    Each of the targets' partial sums is lowered by ``slack`` first: the time
+    is then the least ``t`` at which ``alpha * t`` s-majorizes the target with
+    that slack on every inequality, and at most 0 where ``t = 0`` already
+    does.  The cost takes no slack; a feasibility test passes its own.
 
     Time is homogeneous of degree -1 in the drift, so the drift is taken in
     units of its leading component ``a1`` and the largest ratio divided by
     ``a1`` last: exact for every finite drift, ``inf`` only where the true
-    time overflows.  With ``a1 = 0`` a target takes time 0 if no partial sum
-    exceeds ``STRUCTURAL``, and ``inf`` otherwise.  A drift component that is
-    infinite or NaN raises ``ValidationError``.
+    time overflows.  With ``a1 = 0`` a target takes time 0 if no
+    slack-lowered partial sum exceeds ``STRUCTURAL``, and ``inf`` otherwise.
+    A target or drift component that is infinite or NaN raises
+    ``ValidationError``.
     """
     alpha = np.asarray(alpha, dtype=float)
     if not np.isfinite(alpha).all():
         raise ValidationError(f"drift {alpha.tolist()} is not finite")
+    if not np.isfinite(targets).all():
+        raise ValidationError(f"target {targets[~np.isfinite(targets).all(axis=-1)][0].tolist()} is not finite")
     ordered, _ = _s_sort(np.vstack([targets, alpha]))
     rows, a1 = ordered[:-1], ordered[-1, 0]
-    need = _s_sums(rows)
+    need = _s_sums(rows) - slack
     if a1 == 0.0:
         return np.where(need.max(axis=-1) > tol.STRUCTURAL, math.inf, 0.0), rows
     # s-ordered, the unit drift's partial sums are all at least 1.

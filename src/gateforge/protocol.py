@@ -262,7 +262,12 @@ def trajectory_check(
     feasibility at the elapsed time.  Early prefixes sit exactly on the
     feasibility boundary, so the comparison carries a small slack ``atol``.
     All prefixes are built in one broadcast, since the drift is diagonal in
-    the magic basis, and their contents are taken in one stacked call.
+    the magic basis, and their contents are taken in one stacked call.  A
+    prefix passes when one of its two branches has a minimal time, with
+    slack ``atol``, of at most the elapsed time: the test of
+    :func:`gateforge.cost.feasible`, exact at every drift scale.  A drift
+    without interaction (``a1 = 0``) passes a prefix whose slack-lowered
+    partial sums are all within ``STRUCTURAL``, at any elapsed time.
 
     Raises:
         NegativeDurationError: if a segment has a negative duration.

@@ -28,7 +28,7 @@ from gateforge.canonical import (
     rotation_of_su2,
     s_order,
 )
-from gateforge.errors import NonUnitaryError, NotTracelessError
+from gateforge.errors import NonUnitaryError, NotTracelessError, ValidationError
 from gateforge.linalg import drift_exponential
 
 
@@ -292,3 +292,13 @@ def test_su2_rotation_round_trip():
         r = rotation_of_su2(u)
         assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "c",
+    [np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 0.0]), np.eye(2), np.ones(3)],
+    ids=["nan", "inf", "2x2", "vector"],
+)
+def test_hamiltonian_canonical_rejects_non_finite_or_misshapen_couplings(c):
+    with pytest.raises(ValidationError, match="not a finite 3x3 real matrix"):
+        hamiltonian_canonical(c)

@@ -14,7 +14,7 @@ from gateforge.cost import (
     partial_order,
 )
 from gateforge.comm import CommTask, task_cost
-from gateforge.errors import BetaOutOfRangeError, UnknownGateError, ValidationError
+from gateforge.errors import BetaOutOfRangeError, NegativeDurationError, UnknownGateError, ValidationError
 from gateforge.majorization import min_time
 
 CNOT_BETA = QUARTER_PI * np.array([1, 0, 0])
@@ -299,3 +299,67 @@ def test_costs_reject_a_non_finite_drift(alpha):
         with pytest.raises(ValidationError, match="not finite"):
             cost(np.array(alpha))
     assert all(0 < cost(np.full(3, 1e308)) < math.inf for cost in _COSTS)
+
+
+# ---------------------------------------------------------------------------
+# Feasibility is the cost read at a time
+
+
+def test_feasible_at_its_own_cost_at_every_drift_scale():
+    # Cost and feasibility read the same per-branch minimal times, so with no
+    # slack a content is feasible at its cost, on the branch the cost chose.
+    rng = np.random.default_rng(9)
+    for _ in range(500):
+        beta = random_canonical_alpha(rng)
+        alpha = random_s_ordered_alpha(rng) * 10.0 ** rng.uniform(-6, 6)
+        report = interaction_cost(beta, alpha)
+        assert feasible(beta, alpha, report.cost, atol=0.0) == (True, report.branch)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_contents(), _drifts(), st.floats(-300.0, 308.0))
+@example(QUARTER_PI * np.ones(3), np.array([1.5, 1.5, 1.5]), 308.0)
+@example(QUARTER_PI * np.ones(3), np.array([1.5, 1.5, -1.5]), 308.0)
+@example(CNOT_BETA, np.array([1.0, 1.0, 1.0]), 308.0)
+@example(np.array([0.01, 0.0, 0.0]), np.array([0.1, 0.0, 0.0]), -300.0)
+def test_feasible_verdicts_are_homogeneous_in_the_drift(beta, alpha, exponent):
+    s = 10.0**exponent
+    cost = interaction_cost(beta, alpha).cost
+    for t, verdict in ((cost * (1 - 1e-6), False), (cost * (1 + 1e-6), True)):
+        assert feasible(beta, alpha, t, atol=0.0)[0] is verdict
+        assert feasible(beta, s * alpha, t / s, atol=0.0)[0] is verdict
+    # Any later time is feasible too, however far it lies past the cost.
+    assert feasible(beta, s * alpha, max(cost * (1 + 1e-6) / s, 10.0), atol=0.0)[0]
+
+
+def test_feasible_time_and_drift_edge_cases():
+    alpha = np.array([1.0, 0.5, 0.2])
+    with pytest.raises(NegativeDurationError):
+        feasible(CNOT_BETA, alpha, -1.0)
+    with pytest.raises(ValidationError, match="NaN"):
+        feasible(CNOT_BETA, alpha, math.nan)
+    for beta in (CNOT_BETA, DCNOT_BETA, SWAP_BETA):
+        assert feasible(beta, alpha, math.inf)[0]
+    # A drift without interaction never reaches CNOT, not even at t = inf.
+    assert feasible(CNOT_BETA, np.zeros(3), math.inf) == (False, None)
+    assert feasible(CNOT_BETA, np.full(3, 1e308), 10.0) == (True, (0, 0, 0))
+    for drift in ([math.inf, 0, 0], [math.nan, 0, 0]):
+        with pytest.raises(ValidationError, match="drift .* not finite"):
+            feasible(CNOT_BETA, np.array(drift), 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e-17, 1e-3])
+def test_feasible_under_a_zero_drift_follows_the_cost(scale):
+    # With no interaction a content is reached at time 0 or never, by the
+    # rule the cost uses: every partial sum within STRUCTURAL.
+    beta = scale * np.array([1.0, 0.0, 0.0])
+    cost = interaction_cost(beta, np.zeros(3)).cost
+    for t in (0.0, 1.0, 1e6):
+        assert feasible(beta, np.zeros(3), t, atol=0.0)[0] == (cost <= t)
+
+
+@pytest.mark.parametrize("target", [[math.nan, 0, 0], [math.inf, 0, 0], [0.5, 0.2, math.nan]])
+def test_costs_reject_a_non_finite_target(target):
+    for cost in (lambda b: interaction_cost(b, np.ones(3)).cost, lambda b: min_time(b, np.ones(3))):
+        with pytest.raises(ValidationError, match=r"target \[.*\] is not finite"):
+            cost(np.array(target))
