@@ -12,7 +12,6 @@ states.  Everything here is a pure function; all values are immutable.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -65,9 +64,9 @@ def lambda_to_alpha(lam: np.ndarray, atol: float = tol.BOUNDARY) -> np.ndarray:
 
 
 def _lambda_to_alpha_unchecked(lam: np.ndarray) -> np.ndarray:
-    return np.array(
-        [(lam[0] + lam[1]) / 2, (lam[0] + lam[2]) / 2, (lam[1] + lam[2]) / 2]
-    )
+    """:func:`lambda_to_alpha` of a 4-vector or of each row of ``(n, 4)``."""
+    lam = lam.T
+    return np.stack([(lam[0] + lam[1]) / 2, (lam[0] + lam[2]) / 2, (lam[1] + lam[2]) / 2], axis=-1)
 
 
 class SOrderMove(NamedTuple):
@@ -245,59 +244,43 @@ def _shift_factor(n: np.ndarray) -> np.ndarray:
 # Interaction content and KAK decomposition.
 # ---------------------------------------------------------------------------
 
-#: Offsets (in units of pi) tried per eigenvalue when fixing the branch of
-#: lam_k = -theta_k / 2 (each defined mod pi) subject to sum(lam) = 0 mod 2pi.
-_BRANCH_OFFSETS = np.array(list(itertools.product((-1, 0, 1), repeat=4)), dtype=int)
-
-
 def _content_from_phases(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Canonical content and the chosen eigenvalue branch.
 
     ``theta`` are the eigenphases of U^T U in the magic basis, so the drift
-    eigenvalues are ``lam_k = -theta_k/2 + m_k pi``.  All branch assignments
-    with ``sum(lam) = 0 mod 2pi`` reduce to the same canonical vector; the
-    lexicographically largest reduction is kept as a deterministic tie-break
-    against roundoff, and the winning branch's lambda (folded to an exactly
-    zero sum) is returned for reassembly.
+    eigenvalues are ``lam_k = -theta_k/2 + m_k pi``.  Every branch with
+    ``sum(lam) = 0 mod 2pi`` reduces to the same canonical vector, so one is
+    built directly: ``lam = -theta/2 + pi (1, 1, 1, m_3)``, with ``m_3`` the
+    parity that makes the sum a multiple of 2pi, which then folds into
+    ``lam_4`` (the residual spread over all four keeps the sum exactly zero).
+    The ``pi`` offset is not arbitrary: a component of ``-theta/2`` at
+    roundoff level from a multiple of ``pi/2`` lands, after the offset and
+    the chamber reduction, on an exact zero, which the sign rule of the
+    s-ordering and the zero-slot parity of its moves rely on.
 
     ``theta`` is one 4-vector or a stack ``(n, 4)``, giving ``(3,), (4,)`` or
     ``(n, 3), (n, 4)``; each row is reduced exactly as it would be alone.
 
     Raises:
         BranchResolutionError: if no branch of some row has a 2pi-periodic
-            sum; for a stack the message names the row.
+            sum (``sum(-theta/2)`` is farther than 1e-6 from a multiple of
+            ``pi``); for a stack the message names the row.
     """
     theta = np.asarray(theta, dtype=float)
     stacked = theta.ndim == 2
-    rows = theta if stacked else theta[None]
-    candidates = (-rows / 2)[:, None, :] + np.pi * _BRANCH_OFFSETS
-    totals = candidates.sum(axis=-1)
+    half = -(theta if stacked else theta[None]) / 2
+    odd = (half.sum(axis=1) / np.pi).round() % 2
+    lams = half + np.pi * np.column_stack([np.ones((len(half), 3)), 1 - odd])
+    totals = lams.sum(axis=1)
     wraps = (totals / (2 * np.pi)).round()
     valid = np.abs(totals - 2 * np.pi * wraps) <= 1e-6
-    counts = valid.sum(axis=-1)
-    if not counts.all():
-        where = _row_label(stacked, int(counts.argmin()))
+    if not valid.all():
+        where = _row_label(stacked, int(valid.argmin()))
         raise BranchResolutionError(f"no eigenvalue branch has a 2pi-periodic sum{where}")
-    row = valid.nonzero()[0]
-    lams = candidates[valid]
-    lams[:, 3] -= 2 * np.pi * wraps[valid]
+    lams[:, 3] -= 2 * np.pi * wraps
     lams -= (lams.sum(axis=1) / 4)[:, None]  # spread residual; moves D by < 1e-9
-    alphas = np.column_stack(
-        [
-            (lams[:, 0] + lams[:, 1]) / 2,
-            (lams[:, 0] + lams[:, 2]) / 2,
-            (lams[:, 1] + lams[:, 2]) / 2,
-        ]
-    )
-    reduced = _chamber_reduce(alphas)[0]
-    keys = reduced.round(12)
-    # Stable sort by row, then key: the last entry of each row's run is that
-    # row's largest key, ties going to the highest branch index.
-    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0], row))
-    best = order[counts.cumsum() - 1]
-    if stacked:
-        return reduced[best], lams[best]
-    return reduced[best[0]], lams[best[0]]
+    reduced = _chamber_reduce(_lambda_to_alpha_unchecked(lams))[0]
+    return (reduced, lams) if stacked else (reduced[0], lams[0])
 
 
 def interaction_content(g: np.ndarray) -> np.ndarray:
@@ -305,7 +288,10 @@ def interaction_content(g: np.ndarray) -> np.ndarray:
 
     Phase-normalizes to determinant one, moves to the magic basis, and reads
     the drift eigenvalues off the eigenphases of ``g^T g`` there; local
-    factors drop out because they are real orthogonal in that frame.
+    factors drop out because they are real orthogonal in that frame.  Of
+    the eigenvalue branches, the one of :func:`_content_from_phases` is
+    taken, in closed form; its ``pi`` offset makes noise-level components
+    of a landmark or product gate exact zeros.
 
     ``g`` is one 4x4 gate or a stack ``(n, 4, 4)``, giving ``(3,)`` or
     ``(n, 3)``.  A stack is diagonalized in one batched pass, and each row
@@ -344,11 +330,13 @@ def kak_decompose(g: np.ndarray) -> KakDecomposition:
 
     In the magic basis ``g^T g = O^T D^2 O`` for proper orthogonal ``O``; once
     the eigenvalue branch of ``D`` is fixed so the determinant constraints
-    hold, the left factor ``O~ = g O^T D^-1`` comes out real orthogonal and
-    both factors split into single-qubit pairs, in one stacked
-    :func:`kron_factor` call.  Residual chamber reductions
-    of alpha are folded into extra local factors so the returned ``alpha`` is
-    canonical.
+    hold (the branch ``lam = -theta/2 + pi (1, 1, 1, m_3)`` of
+    :func:`_content_from_phases`, whose ``pi`` offset also gives
+    :func:`interaction_content` its exact zeros), the left factor
+    ``O~ = g O^T D^-1`` comes out real orthogonal and both factors split into
+    single-qubit pairs, in one stacked :func:`kron_factor` call.  Residual
+    chamber reductions of alpha are folded into extra local factors so the
+    returned ``alpha`` is canonical.
 
     Raises:
         NonUnitaryError: if ``g`` is not unitary.

@@ -9,6 +9,7 @@ a local pair followed by a drift of the stated duration, then closing locals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,14 @@ from .canonical import (
     s_order,
 )
 from .cost import _feasible_rows, interaction_cost
-from .errors import InfeasibleError, NegativeDurationError, SynthesisResidualError
-from .linalg import LocalUnitaryPair, _kron2, from_magic, kron_factor, to_magic
+from .errors import (
+    InfeasibleError,
+    NegativeDurationError,
+    NonUnitaryError,
+    SynthesisResidualError,
+    ValidationError,
+)
+from .linalg import LocalUnitaryPair, _first_row_over, _kron2, _unitarity_gap, from_magic, kron_factor, to_magic
 from .majorization import birkhoff_express
 
 
@@ -67,25 +74,59 @@ class VerificationReport:
     passed: bool
 
 
+def _pair_name(p: Protocol, i: int) -> str:
+    """The field name of the ``i``-th local pair of :func:`_magic_locals`."""
+    return "opening" if i == 0 else "closing" if i > len(p.segments) else f"segment {i - 1}"
+
+
 def _magic_locals(p: Protocol) -> np.ndarray:
     """The protocol's local pairs (opening, one per segment, closing) as one
-    ``(k, 4, 4)`` stack in the magic basis."""
+    ``(k, 4, 4)`` stack in the magic basis.
+
+    All factors are checked unitary within ``STRUCTURAL`` as one stack, and
+    the pair phases unit-modulus within ``PHASE``.
+
+    Raises:
+        NonUnitaryError: naming the field at fault, e.g. ``opening u_b`` or
+            ``segment 2 phase``.
+    """
     pairs = (p.opening, *(seg.local for seg in p.segments), p.closing)
     factors = np.array([(pair.u_a, pair.u_b) for pair in pairs], dtype=complex)
+    gap = _unitarity_gap(factors.reshape(-1, 2, 2))
+    if not gap.max() <= tol.STRUCTURAL:
+        row, _ = _first_row_over(gap, tol.STRUCTURAL)
+        field = f"{_pair_name(p, row // 2)} {('u_a', 'u_b')[row % 2]}"
+        raise NonUnitaryError(f"{field} is not unitary within {tol.STRUCTURAL:g}")
     phases = np.array([pair.phase for pair in pairs], dtype=complex)
+    off = np.abs(np.abs(phases) - 1.0)
+    if not off.max() <= tol.PHASE:
+        field = f"{_pair_name(p, int(np.argmax(~(off <= tol.PHASE))))} phase"
+        raise NonUnitaryError(f"{field} is not unit modulus within {tol.PHASE:g}")
     return to_magic(phases[:, None, None] * _kron2(factors[:, 0], factors[:, 1]))
 
 
-def _durations(p: Protocol) -> np.ndarray:
-    """The segment durations.
+def _drift_and_durations(p: Protocol) -> tuple[np.ndarray, np.ndarray]:
+    """The drift eigenvalues and the segment durations of the protocol.
 
     Raises:
+        ValidationError: if a drift component or a segment's duration is
+            infinite or NaN, or the total drift phase overflows.
         NegativeDurationError: if a segment has a negative duration.
     """
+    alpha = np.asarray(p.hamiltonian_alpha, dtype=float)
+    if not np.isfinite(alpha).all():
+        raise ValidationError(f"drift {alpha.tolist()} is not finite")
     durations = np.array([seg.duration for seg in p.segments], dtype=float)
+    if not np.isfinite(durations).all():
+        i = int(np.argmin(np.isfinite(durations)))
+        raise ValidationError(f"segment {i} duration {durations[i]} is not finite")
     if np.any(durations < 0):
         raise NegativeDurationError(f"duration {durations[durations < 0][0]} is negative")
-    return durations
+    lam = alpha_to_lambda(alpha)
+    # Python floats overflow to inf without a warning.
+    if not math.isfinite(float(np.abs(lam).max()) * sum(durations.tolist())):
+        raise ValidationError("the total drift phase of the protocol overflows")
+    return lam, durations
 
 
 def _running_products(m: np.ndarray) -> np.ndarray:
@@ -108,11 +149,17 @@ def simulate(p: Protocol) -> np.ndarray:
     products and leaves the magic basis once.
 
     Raises:
+        ValidationError: if the drift or a segment's duration is infinite or
+            NaN, or the total drift phase overflows.
         NegativeDurationError: if a segment has a negative duration.
+        NonUnitaryError: naming the field, if a local factor is not unitary
+            or a pair phase or ``global_phase`` is not unit-modulus.
     """
-    lam = alpha_to_lambda(p.hamiltonian_alpha)
+    lam, durations = _drift_and_durations(p)
+    if not abs(abs(p.global_phase) - 1.0) <= tol.PHASE:
+        raise NonUnitaryError(f"global_phase is not unit modulus within {tol.PHASE:g}")
     locals_ = _magic_locals(p)
-    locals_[1:-1] *= np.exp(-1j * lam * _durations(p)[:, None])[..., None]
+    locals_[1:-1] *= np.exp(-1j * lam * durations[:, None])[..., None]
     return p.global_phase * from_magic(_running_products(locals_)[-1])
 
 
@@ -228,6 +275,10 @@ def verify(p: Protocol, target: np.ndarray, tolerance: float = 1e-7) -> Verifica
 
     Also compares the interaction contents of the simulated and target gates;
     a protocol can only be correct if these agree.
+
+    Raises:
+        The errors of :func:`simulate`, naming the protocol field at fault;
+        ``NonUnitaryError`` if ``target`` is not unitary.
     """
     return _verify(p, target, tolerance, None)
 
@@ -270,16 +321,20 @@ def trajectory_check(
     partial sums are all within ``STRUCTURAL``, at any elapsed time.
 
     Raises:
+        ValidationError: if the drift or a segment's duration is infinite or
+            NaN, or the total drift phase overflows.
         NegativeDurationError: if a segment has a negative duration.
+        NonUnitaryError: naming the field, if a local factor is not unitary
+            or a pair phase is not unit-modulus.
     """
+    lam, durations = _drift_and_durations(p)
     if not p.segments:
         return True
-    durations = _durations(p)
     fractions = np.append(np.arange(1, samples_per_segment + 1) / (samples_per_segment + 1), 1.0)
     into_segment = fractions * durations[:, None]
     elapsed = np.concatenate([[0.0], np.cumsum(durations)[:-1]])[:, None] + into_segment
     # Magic-basis drift phases for each prefix; the last column ends the segment.
-    phases = np.exp(-1j * alpha_to_lambda(p.hamiltonian_alpha) * into_segment[..., None])
+    phases = np.exp(-1j * lam * into_segment[..., None])
     # Chain factors: the opening, then each segment's local with its whole
     # drift applied; a segment starts from its local times the chain before it.
     locals_ = _magic_locals(p)[:-1]

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
-from gateforge.canonical import QUARTER_PI, alpha_to_lambda, s_order
+from gateforge.canonical import QUARTER_PI, _chamber_reduce, alpha_to_lambda, s_order
 from gateforge.linalg import MAGIC, PAULIS, LocalUnitaryPair, drift_exponential
 
 
@@ -84,6 +84,39 @@ def _scan_feasible(beta, alpha, t, atol=0.0):
     )
 
 
+# Test-local branch oracle: every eigenvalue branch of the content core,
+# tried one by one.
+_BRANCH_OFFSETS = np.array(list(itertools.product((-1, 0, 1), repeat=4)), dtype=int)
+
+
+def reference_content_from_phases(theta):
+    """Content and eigenvalue branch of magic-basis eigenphases ``theta``
+    (one 4-vector or a stack ``(n, 4)``), by enumeration: each of the 81
+    branches ``lam = -theta/2 + pi m``, ``m`` in ``{-1, 0, 1}^4``, whose sum is
+    2pi-periodic within 1e-6 is folded to a zero sum and chamber-reduced; the
+    lexicographically largest reduction, rounded to 12 decimals, wins, ties
+    going to the highest branch index.  Returns ``None`` for a row with no
+    such branch."""
+    theta = np.asarray(theta, dtype=float)
+    out = []
+    for row in np.atleast_2d(theta):
+        best = None
+        for m in _BRANCH_OFFSETS:
+            lam = -row / 2 + np.pi * m
+            wrap = np.round(lam.sum() / (2 * np.pi))
+            if abs(lam.sum() - 2 * np.pi * wrap) > 1e-6:
+                continue
+            lam[3] -= 2 * np.pi * wrap
+            lam -= lam.sum() / 4
+            alpha = np.array([lam[0] + lam[1], lam[0] + lam[2], lam[1] + lam[2]]) / 2
+            content = _chamber_reduce(alpha[None])[0][0]
+            key = tuple(content.round(12))
+            if best is None or key >= best[0]:
+                best = (key, content, lam)
+        out.append(None if best is None else best[1:])
+    return out if theta.ndim == 2 else out[0]
+
+
 def reference_simulate(p):
     """The gate a protocol performs, segment by segment: each local pair's
     4x4 matrix and each drift exponential multiplied in turn."""
@@ -92,6 +125,12 @@ def reference_simulate(p):
     for seg in p.segments:
         u = drift_exponential(lam, seg.duration) @ seg.local.matrix() @ u
     return p.global_phase * (p.closing.matrix() @ u)
+
+
+@st.composite
+def haar_gates(draw):
+    """A Haar-random two-qubit gate."""
+    return random_unitary(4, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
 
 
 #: Places in the chamber pi/4 >= a1 >= a2 >= |a3| that a drawn content sits on.

@@ -5,16 +5,19 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     content_gate,
     dressed_gates,
+    haar_gates,
     invariant_gap,
     random_canonical_alpha,
     random_local_pair,
     random_special_unitary,
     random_su2,
     random_unitary,
+    reference_content_from_phases,
 )
 from gateforge import gates
 from gateforge.canonical import (
     QUARTER_PI,
+    _content_from_phases,
     alpha_hamiltonian,
     alpha_to_lambda,
     canonical_reduce,
@@ -28,8 +31,8 @@ from gateforge.canonical import (
     rotation_of_su2,
     s_order,
 )
-from gateforge.errors import NonUnitaryError, NotTracelessError, ValidationError
-from gateforge.linalg import drift_exponential
+from gateforge.errors import BranchResolutionError, NonUnitaryError, NotTracelessError, ValidationError
+from gateforge.linalg import drift_exponential, joint_diagonalize_symmetric_unitary, special_normalize, to_magic
 
 
 def gate_of_alpha(a):
@@ -205,6 +208,64 @@ def test_stacked_content_names_nonunitary_row():
     stack[3] = np.ones((4, 4))
     with pytest.raises(NonUnitaryError, match="row 3"):
         interaction_content(stack)
+
+
+def magic_phases(g):
+    """Eigenphases of ``g^T g`` in the magic basis, for a gate or a stack."""
+    m = to_magic(special_normalize(g)[0])
+    return joint_diagonalize_symmetric_unitary(m.swapaxes(-1, -2) @ m)[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(haar_gates(), dressed_gates()), min_size=1, max_size=6))
+def test_content_core_matches_the_branch_enumeration_oracle(gs):
+    # Haar gates, every chamber wall, weak contents from 1e-12 to pi/4,
+    # landmarks and protocol prefixes, as one stack.  Where the oracle's
+    # 12-decimal keys split roundoff-equal contents (about 7 rows in 10,000)
+    # it takes another branch, whose eigenvalues (up to 3.5 pi in modulus)
+    # round differently: two of their ulps bound the gap, 1.3e-15 at most
+    # seen on 1.2 million Haar rows.
+    theta = magic_phases(np.array(gs))
+    contents, lams = _content_from_phases(theta)
+    for g, row, content, lam, (want, _) in zip(gs, theta, contents, lams, reference_content_from_phases(theta)):
+        assert np.max(np.abs(content - want)) <= 2 * np.spacing(3.5 * np.pi)
+        assert abs(lam.sum()) <= 1e-12
+        # lam is a branch of -theta/2: every component off by a multiple of pi.
+        offsets = (lam + row / 2) / np.pi
+        assert np.max(np.abs(offsets - offsets.round())) <= 1e-6
+        kak = kak_decompose(g)
+        assert np.array_equal(kak.alpha, content)
+        assert np.max(np.abs(kak.matrix() - g)) <= 1e-8
+
+
+def test_content_core_gives_exact_zeros_on_landmarks_and_products():
+    # The pi offset of the branch rounds noise-level components to exact
+    # zeros, which the s-ordering's sign rule and move parity rely on.
+    rng = np.random.default_rng(4)
+    cases = [(gates.CNOT, [1, 0, 0]), (gates.DCNOT, [1, 1, 0]), (gates.SWAP, [1, 1, 1]), (gates.IDENTITY, [0, 0, 0])]
+    for _ in range(200):
+        product = np.exp(2j * np.pi * rng.random()) * np.kron(random_unitary(2, rng), random_unitary(2, rng))
+        cases.append((product, [0, 0, 0]))
+    for g, landmark in cases:
+        theta = magic_phases(g)
+        content, _ = _content_from_phases(theta)
+        assert np.array_equal(content, reference_content_from_phases(theta)[0])
+        assert np.array_equal(content, QUARTER_PI * np.array(landmark, dtype=float))
+        assert np.array_equal(interaction_content(g), content)
+
+
+def test_content_core_names_the_row_without_a_periodic_branch():
+    rng = np.random.default_rng(21)
+    theta = magic_phases(np.array([random_unitary(4, rng) for _ in range(5)]))
+    near = theta.copy()
+    near[2, 0] += 2e-7  # sum(-theta/2) misses a multiple of pi by 1e-7
+    _content_from_phases(near)
+    theta[2, 0] += 1e-5  # ... by 5e-6
+    assert reference_content_from_phases(theta)[2] is None
+    with pytest.raises(BranchResolutionError, match="2pi-periodic sum in row 2$"):
+        _content_from_phases(theta)
+    with pytest.raises(BranchResolutionError, match="2pi-periodic sum$"):
+        _content_from_phases(theta[2])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,7 @@ from gateforge.canonical import (
     interaction_content,
 )
 from gateforge.cost import interaction_cost
-from gateforge.errors import InfeasibleError, NegativeDurationError
+from gateforge.errors import InfeasibleError, NegativeDurationError, NonUnitaryError, ValidationError
 from gateforge.linalg import LocalUnitaryPair, drift_exponential, is_unitary
 from gateforge.protocol import (
     Protocol,
@@ -288,6 +290,78 @@ def test_trajectory_check_rejects_negative_duration():
                  LocalUnitaryPair.identity(), np.array([1.0, 0.0, 0.0]))
     with pytest.raises(NegativeDurationError):
         trajectory_check(p)
+
+
+def _cnot_protocol():
+    return synthesize(gates.CNOT, np.array([1.0, 0.6, -0.3]))
+
+
+def _with_segment(p, i, **fields):
+    segments = list(p.segments)
+    segments[i] = replace(segments[i], **fields)
+    return replace(p, segments=tuple(segments))
+
+
+def _verify_cnot(p):
+    return verify(p, gates.CNOT)
+
+
+_CALLS = pytest.mark.parametrize("call", [simulate, _verify_cnot, trajectory_check], ids=["simulate", "verify", "trajectory_check"])
+
+
+@_CALLS
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda p: _with_segment(p, 1, duration=float("nan")), "segment 1 duration nan is not finite"),
+        (lambda p: _with_segment(p, 0, duration=float("inf")), "segment 0 duration inf is not finite"),
+        (lambda p: _with_segment(p, 1, duration=-float("inf")), "segment 1 duration -inf is not finite"),
+        (lambda p: replace(p, hamiltonian_alpha=np.array([np.inf, 0.0, 0.0])), r"drift \[inf, 0.0, 0.0\] is not finite"),
+        (lambda p: replace(p, hamiltonian_alpha=np.array([1.0, np.nan, 0.0])), r"drift \[1.0, nan, 0.0\] is not finite"),
+        (lambda p: replace(_with_segment(p, 0, duration=1e10), hamiltonian_alpha=np.array([1e300, 0.0, 0.0])),
+         "total drift phase of the protocol overflows"),
+    ],
+    ids=["nan-duration", "inf-duration", "minus-inf-duration", "inf-drift", "nan-drift", "phase-overflow"],
+)
+def test_non_finite_durations_and_drifts_are_named(call, edit, match):
+    with pytest.raises(ValidationError, match=match):
+        call(edit(_cnot_protocol()))
+
+
+@_CALLS
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda p: replace(p, opening=LocalUnitaryPair(np.eye(2), 2 * np.eye(2))), "opening u_b is not unitary within 1e-10"),
+        (lambda p: _with_segment(p, 1, local=LocalUnitaryPair(np.eye(2) * (1 + 1e-9), np.eye(2))),
+         "segment 1 u_a is not unitary within 1e-10"),
+        (lambda p: replace(p, closing=LocalUnitaryPair(np.full((2, 2), np.nan), np.eye(2))), "closing u_a is not unitary"),
+        (lambda p: _with_segment(p, 0, local=LocalUnitaryPair(np.eye(2), np.eye(2), 1.001)),
+         "segment 0 phase is not unit modulus within 1e-12"),
+        (lambda p: replace(p, opening=replace(p.opening, phase=complex("nan"))), "opening phase is not unit modulus"),
+    ],
+    ids=["opening-u_b", "segment-u_a", "closing-nan", "segment-phase", "opening-nan-phase"],
+)
+def test_non_unitary_protocol_fields_are_named(call, edit, match):
+    with pytest.raises(NonUnitaryError, match=match):
+        call(edit(_cnot_protocol()))
+
+
+@pytest.mark.parametrize("phase", [1.5, 0.0, complex("nan")])
+def test_non_unit_global_phase_is_named_where_it_is_used(phase):
+    p = replace(_cnot_protocol(), global_phase=phase)
+    for call in (simulate, _verify_cnot):
+        with pytest.raises(NonUnitaryError, match="global_phase is not unit modulus within 1e-12"):
+            call(p)
+    # The prefixes' contents do not depend on the global phase.
+    assert trajectory_check(p)
+
+
+def test_protocol_fields_inside_their_tiers_are_admitted():
+    p = _cnot_protocol()
+    p = _with_segment(p, 1, local=LocalUnitaryPair(np.eye(2) * (1 + 2e-11), np.eye(2), np.exp(1j) * (1 + 5e-13)))
+    assert verify(p, simulate(p)).passed
+    assert trajectory_check(p)
 
 
 def test_synthesize_weak_targets_across_decades():
