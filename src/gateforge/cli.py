@@ -16,9 +16,10 @@ the subcommands warn when reordering was needed) or as a 3x3 coupling matrix
 routed through the canonicalizer.  Protocol files are JSON with fields
 ``hamiltonian_alpha``, ``opening``, ``segments`` (each
 ``{u_a, u_b, phase, duration}``), ``closing``, ``global_phase`` and
-``total_time``; complex numbers are ``[re, im]`` pairs.  All numeric output
-is printed at 10 significant digits.  Angles are radians; ``--degrees``
-converts inputs only.
+``total_time``; complex numbers are ``[re, im]`` pairs.  Loading only
+parses, admits matrices unitary within the RESIDUAL tier and projects them
+onto unitaries; the library checks durations.  Output has 10 significant
+digits.  Angles are radians; ``--degrees`` converts inputs only.
 
 Exit codes: 0 success/verified, 1 validation error, 2 infeasible,
 3 internal residual failure.
@@ -35,8 +36,8 @@ import numpy as np
 
 from . import comm, cost, gates, protocol, tolerances
 from .canonical import _s_sort, alpha_to_lambda, hamiltonian_canonical, interaction_content, kak_decompose
-from .errors import GateforgeError, InfeasibleError, NonUnitaryError, ValidationError
-from .linalg import LocalUnitaryPair, _first_row_over, _unitarity_gap, is_unitary
+from .errors import GateforgeError, InfeasibleError, ValidationError
+from .linalg import LocalUnitaryPair, _require_unitary
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -89,35 +90,12 @@ def _pair_to_json(pair: LocalUnitaryPair) -> dict:
     }
 
 
-def _closest_unitary(m: np.ndarray) -> np.ndarray:
-    """The unitary polar factor of ``m``, or of each matrix of a stack."""
-    u, _, vh = np.linalg.svd(m)
+def _admitted_unitary(m: np.ndarray, names: tuple[str, ...] | None = None) -> np.ndarray:
+    """``m``, or each matrix of a stack (named ``names`` in errors), admitted
+    when unitary within the RESIDUAL tier and projected onto its unitary
+    polar factor, which moves no entry by more than the admitted error."""
+    u, _, vh = np.linalg.svd(_require_unitary(m, atol=tolerances.RESIDUAL, names=names))
     return u @ vh
-
-
-def _pairs_from_json(objs: list, names: list[str]) -> list[LocalUnitaryPair]:
-    """Reconstructs serialized pairs, named ``names`` in errors.
-
-    A factor is admitted when it is unitary within the RESIDUAL tier, the
-    rule gates are loaded by, and a phase when it is finite and nonzero.
-    Serialized entries carry 10 significant digits, so admitted factors are
-    unitary only to ~1e-9; all of them are projected back onto exact
-    unitaries in one batched polar projection, which moves no entry by more
-    than the serialization error, and each phase is scaled to unit modulus.
-    """
-    factors = _reals(
-        [(obj["u_a"], obj["u_b"]) for obj in objs],
-        (len(objs), 2, 2, 2, 2),
-        "u_a and u_b must be 2x2 matrices of finite [re, im] pairs",
-    ).view(complex)[..., 0]
-    gap = _unitarity_gap(factors.reshape(-1, 2, 2))
-    if not gap.max() <= tolerances.RESIDUAL:
-        row, _ = _first_row_over(gap, tolerances.RESIDUAL)
-        raise NonUnitaryError(
-            f"{names[row // 2]} {('u_a', 'u_b')[row % 2]} is not unitary within {tolerances.RESIDUAL:g}"
-        )
-    phases = [_unit_phase_from(obj["phase"], f"{name} phase") for obj, name in zip(objs, names)]
-    return [LocalUnitaryPair(u_a, u_b, phase) for (u_a, u_b), phase in zip(_closest_unitary(factors), phases)]
 
 
 def protocol_to_json(p: protocol.Protocol) -> dict:
@@ -138,30 +116,30 @@ def protocol_to_json(p: protocol.Protocol) -> dict:
 def protocol_from_json(obj: dict) -> protocol.Protocol:
     """Loads a protocol object (see the module docstring for fields).
 
-    Every local pair is checked and projected by :func:`_pairs_from_json`,
-    all of them as one stack; ``global_phase`` is scaled to unit modulus as
-    the pair phases are.
+    Only parses: all factors are admitted and projected as one stack by
+    :func:`_admitted_unitary`, and each phase is scaled to unit modulus,
+    which its 10 digits only approximate.  Durations are left to the
+    library, which checks them, naming the segment, when the protocol is used.
 
     Raises:
-        ValidationError: naming the field at fault: a drift or duration that
-            is not finite, a total drift phase that overflows, a factor that
-            is not unitary within 1e-8, or a zero or non-finite pair phase or
-            ``global_phase``.
+        ValidationError: naming the field at fault: a drift that is not a
+            finite 3-vector, a factor that is not unitary within 1e-8, or a
+            zero or non-finite pair phase or ``global_phase``.
     """
     alpha = _reals(obj["hamiltonian_alpha"], (3,), "hamiltonian_alpha must be a finite 3-vector")
-    segments = obj["segments"]
-    durations = [float(seg["duration"]) for seg in segments]
-    for i, duration in enumerate(durations):
-        if not math.isfinite(duration):
-            raise ValidationError(f"segment {i} duration must be a finite number")
-    # |a1| + |a2| + |a3| is the largest modulus of a drift eigenvalue.
-    if not math.isfinite(sum(map(abs, durations)) * sum(map(abs, alpha.tolist()))):
-        raise ValidationError("the total drift phase of the protocol overflows")
-    names = ["opening", *(f"segment {i}" for i in range(len(segments))), "closing"]
-    opening, *locals_, closing = _pairs_from_json([obj["opening"], *segments, obj["closing"]], names)
+    objs = [obj["opening"], *obj["segments"], obj["closing"]]
+    message = "u_a and u_b must be 2x2 matrices of finite [re, im] pairs"
+    factors = _reals([(pair["u_a"], pair["u_b"]) for pair in objs], (len(objs), 2, 2, 2, 2), message)
+    names = protocol._field_names(len(objs) - 2, "u_a", "u_b")
+    factors = _admitted_unitary(factors.view(complex).reshape(-1, 2, 2), names).reshape(-1, 2, 2, 2)
+    names = protocol._field_names(len(objs) - 2, "phase")
+    opening, *locals_, closing = (
+        LocalUnitaryPair(u_a, u_b, _unit_phase_from(pair["phase"], name))
+        for (u_a, u_b), pair, name in zip(factors, objs, names)
+    )
     return protocol.Protocol(
         opening=opening,
-        segments=tuple(protocol.Segment(local, duration) for local, duration in zip(locals_, durations)),
+        segments=tuple(protocol.Segment(pair, float(seg["duration"])) for pair, seg in zip(locals_, obj["segments"])),
         closing=closing,
         hamiltonian_alpha=alpha,
         global_phase=_unit_phase_from(obj["global_phase"], "global_phase"),
@@ -215,18 +193,16 @@ def _field(line: dict, key: str):
 
 
 def _matrix_from_entries(entries, order: str) -> np.ndarray:
-    """Loads a 4x4 gate, admitting it if unitary to the RESIDUAL tier and then
-    projecting it onto the nearest unitary, so that matrices rounded to this
-    module's own 10-digit output meet the library's STRUCTURAL tier."""
+    """Loads a 4x4 gate by :func:`_admitted_unitary`, so that matrices
+    rounded to this module's own 10-digit output meet the library's
+    STRUCTURAL tier."""
     pairs = _reals(entries, (16, 2), "matrix must be 16 finite [re, im] pairs")
     m = pairs.view(complex).reshape(4, 4)  # each [re, im] row is one complex
     if order == "reversed":
         m = m[::-1, ::-1]
     elif order != "standard":
         raise ValidationError(f"unknown basis order {order!r}")
-    if not is_unitary(m, tolerances.RESIDUAL):
-        raise NonUnitaryError("loaded matrix is not unitary")
-    return _closest_unitary(m)
+    return _admitted_unitary(m)
 
 
 def _matrix_file(path: str, order: str | None = None) -> dict:

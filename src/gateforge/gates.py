@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BetaOutOfRangeError, NonUnitaryError, UnknownGateError
-from .linalg import is_unitary
+from .errors import BetaOutOfRangeError, UnknownGateError
+from .linalg import _require_unitary
 
 IDENTITY = np.eye(4, dtype=complex)
 
@@ -29,9 +29,7 @@ SWAP = np.array(
 
 def controlled_gate(u: np.ndarray) -> np.ndarray:
     """Applies the 2x2 unitary ``u`` to the second qubit when the first is |1>."""
-    u = np.asarray(u, dtype=complex)
-    if not is_unitary(u):
-        raise NonUnitaryError("controlled operation is not unitary")
+    u = _require_unitary(u, "controlled operation")
     out = np.eye(4, dtype=complex)
     out[2:, 2:] = u
     return out

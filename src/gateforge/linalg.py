@@ -10,6 +10,7 @@ determinant-one local unitaries are real orthogonal.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +82,13 @@ def is_unitary(m: np.ndarray, atol: float = tol.STRUCTURAL) -> bool:
     return bool(_unitarity_gap(m[None]).max() <= atol)
 
 
-def _require_unitary(m: np.ndarray, what: str = "matrix", atol: float = tol.STRUCTURAL) -> np.ndarray:
-    """``m`` as a complex array, checked unitary; a stack ``(n, k, k)`` is
-    checked matrix by matrix and an error names the first failing row."""
+def _require_unitary(
+    m: np.ndarray, what: str = "matrix", atol: float = tol.STRUCTURAL, names: Sequence[str] | None = None
+) -> np.ndarray:
+    """``m`` as a complex array, checked unitary within ``atol``; a stack
+    ``(n, k, k)`` is checked matrix by matrix and an error names the first
+    failing row, or its entry of ``names`` (one name per row).  The
+    package's one unitarity check; loaders of 10-digit input pass RESIDUAL."""
     m = np.asarray(m, dtype=complex)
     stacked = m.ndim == 3
     rows = m if stacked else m[None]
@@ -92,8 +97,17 @@ def _require_unitary(m: np.ndarray, what: str = "matrix", atol: float = tol.STRU
     gap = _unitarity_gap(rows)
     if not gap.max() <= atol:
         row, _ = _first_row_over(gap, atol)
-        raise NonUnitaryError(f"{what}{_row_label(stacked, row)} is not unitary within {atol:g}")
+        field = f"{what}{_row_label(stacked, row)}" if names is None else names[row]
+        raise NonUnitaryError(f"{field} is not unitary within {atol:g}")
     return m
+
+
+def _require_unit_modulus(phases, names: Sequence[str]) -> None:
+    """Checks each scalar of ``phases`` unit-modulus within ``PHASE``; an
+    error names the first failing one from ``names``."""
+    for phase, name in zip(phases, names):
+        if not abs(abs(phase) - 1.0) <= tol.PHASE:
+            raise NonUnitaryError(f"{name} is not unit modulus within {tol.PHASE:g}")
 
 
 @dataclass(frozen=True)
@@ -122,10 +136,10 @@ class LocalUnitaryPair:
         return LocalUnitaryPair(np.eye(2, dtype=complex), np.eye(2, dtype=complex), 1.0 + 0j)
 
     def validate(self, atol: float = tol.STRUCTURAL) -> None:
-        if not is_unitary(self.u_a, atol) or not is_unitary(self.u_b, atol):
-            raise NonUnitaryError("local factor is not unitary")
-        if abs(abs(self.phase) - 1.0) > tol.PHASE:
-            raise NonUnitaryError("pair phase is not unit modulus")
+        """Raises ``NonUnitaryError`` naming ``u_a``, ``u_b`` or ``phase``."""
+        _require_unitary(self.u_a, "u_a", atol)
+        _require_unitary(self.u_b, "u_b", atol)
+        _require_unit_modulus([self.phase], ["phase"])
 
 
 def to_magic(m: np.ndarray) -> np.ndarray:
@@ -183,7 +197,7 @@ def joint_diagonalize_symmetric_unitary(m: np.ndarray) -> tuple[np.ndarray, np.n
     Raises:
         NotSymmetricError: if ``m`` differs from its transpose beyond tolerance.
         NonUnitaryError: if ``m`` is not unitary.
-        DiagonalizationFailedError: if the final residual exceeds 1e-8,
+        DiagonalizationFailedError: if the final residual exceeds ``RESIDUAL``,
             signalling numerically pathological input.
         For a stack, the message names the first failing row.
     """
@@ -234,10 +248,10 @@ def joint_diagonalize_symmetric_unitary(m: np.ndarray) -> tuple[np.ndarray, np.n
     o[:, -1, :] *= np.sign(np.linalg.det(o))[:, None]  # det is +-1: make it +1
 
     residual = np.abs(ms - (o.transpose(0, 2, 1) * np.exp(1j * theta)[:, None, :]) @ o)
-    if residual.max() > 1e-8:
-        row, worst = _first_row_over(residual, 1e-8)
+    if residual.max() > tol.RESIDUAL:
+        row, worst = _first_row_over(residual, tol.RESIDUAL)
         raise DiagonalizationFailedError(
-            f"joint diagonalization residual {worst:.3g}{_row_label(stacked, row)} exceeds 1e-8"
+            f"joint diagonalization residual {worst:.3g}{_row_label(stacked, row)} exceeds {tol.RESIDUAL:g}"
         )
     return (o, theta) if stacked else (o[0], theta[0])
 
@@ -257,10 +271,10 @@ def kron_factor(m: np.ndarray) -> LocalUnitaryPair | tuple[LocalUnitaryPair, ...
     its pair, so each matrix of a stack gets exactly the pair it gets alone.
 
     Raises:
-        NonUnitaryError: if ``m`` is not unitary within 1e-8.
+        NonUnitaryError: if ``m`` is not unitary within ``RESIDUAL`` (1e-8).
         NotAProductError: if the second singular value of the rearranged
-            matrix exceeds 1e-8, i.e. ``m`` is genuinely non-local, or the
-            factors fail to reassemble ``m`` within 1e-8; ``residual`` holds
+            matrix exceeds ``RESIDUAL``, i.e. ``m`` is genuinely non-local, or
+            the factors fail to reassemble ``m`` within it; ``residual`` holds
             the offending value.
         For a stack, the message names the first failing row.
     """
@@ -270,10 +284,10 @@ def kron_factor(m: np.ndarray) -> LocalUnitaryPair | tuple[LocalUnitaryPair, ...
     n = len(ms)
     r = ms.reshape(n, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(n, 4, 4)
     u, sv, vh = np.linalg.svd(r)
-    if not sv[:, 1].max() <= 1e-8:
-        row, second = _first_row_over(sv[:, 1, None, None], 1e-8)
+    if not sv[:, 1].max() <= tol.RESIDUAL:
+        row, second = _first_row_over(sv[:, 1, None, None], tol.RESIDUAL)
         raise NotAProductError(
-            f"second Kronecker singular value {second:.3g}{_row_label(stacked, row)} exceeds 1e-8",
+            f"second Kronecker singular value {second:.3g}{_row_label(stacked, row)} exceeds {tol.RESIDUAL:g}",
             residual=second,
         )
     # ab[:, 0] and ab[:, 1] are the factors A and B, scaled to determinant one.
@@ -290,10 +304,10 @@ def kron_factor(m: np.ndarray) -> LocalUnitaryPair | tuple[LocalUnitaryPair, ...
     # The sign gauge below flips factors and phase together, so the
     # reassembly residual does not depend on it.
     residual = np.abs(ms - phase[:, None, None] * kron)
-    if not residual.max() <= 1e-8:
-        row, worst = _first_row_over(residual, 1e-8)
+    if not residual.max() <= tol.RESIDUAL:
+        row, worst = _first_row_over(residual, tol.RESIDUAL)
         raise NotAProductError(
-            f"product reassembly residual {worst:.3g}{_row_label(stacked, row)} exceeds 1e-8",
+            f"product reassembly residual {worst:.3g}{_row_label(stacked, row)} exceeds {tol.RESIDUAL:g}",
             residual=worst,
         )
 

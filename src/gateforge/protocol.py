@@ -9,6 +9,7 @@ a local pair followed by a drift of the stated duration, then closing locals.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,14 +27,8 @@ from .canonical import (
     s_order,
 )
 from .cost import _feasible_rows, interaction_cost
-from .errors import (
-    InfeasibleError,
-    NegativeDurationError,
-    NonUnitaryError,
-    SynthesisResidualError,
-    ValidationError,
-)
-from .linalg import LocalUnitaryPair, _first_row_over, _kron2, _unitarity_gap, from_magic, kron_factor, to_magic
+from .errors import InfeasibleError, NegativeDurationError, SynthesisResidualError, ValidationError
+from .linalg import LocalUnitaryPair, _kron2, _require_unit_modulus, _require_unitary, from_magic, kron_factor, to_magic
 from .majorization import birkhoff_express
 
 
@@ -74,9 +69,13 @@ class VerificationReport:
     passed: bool
 
 
-def _pair_name(p: Protocol, i: int) -> str:
-    """The field name of the ``i``-th local pair of :func:`_magic_locals`."""
-    return "opening" if i == 0 else "closing" if i > len(p.segments) else f"segment {i - 1}"
+@functools.lru_cache(maxsize=64)
+def _field_names(segments: int, *fields: str) -> tuple[str, ...]:
+    """The names of ``fields`` of a protocol's local pairs, pair by pair:
+    ``opening <field>``, ``segment i <field>`` and ``closing <field>``.
+    Cached, so that checks which pass build no strings."""
+    pairs = ["opening", *(f"segment {i}" for i in range(segments)), "closing"]
+    return tuple(f"{pair} {field}" for pair in pairs for field in fields)
 
 
 def _magic_locals(p: Protocol) -> np.ndarray:
@@ -92,17 +91,10 @@ def _magic_locals(p: Protocol) -> np.ndarray:
     """
     pairs = (p.opening, *(seg.local for seg in p.segments), p.closing)
     factors = np.array([(pair.u_a, pair.u_b) for pair in pairs], dtype=complex)
-    gap = _unitarity_gap(factors.reshape(-1, 2, 2))
-    if not gap.max() <= tol.STRUCTURAL:
-        row, _ = _first_row_over(gap, tol.STRUCTURAL)
-        field = f"{_pair_name(p, row // 2)} {('u_a', 'u_b')[row % 2]}"
-        raise NonUnitaryError(f"{field} is not unitary within {tol.STRUCTURAL:g}")
-    phases = np.array([pair.phase for pair in pairs], dtype=complex)
-    off = np.abs(np.abs(phases) - 1.0)
-    if not off.max() <= tol.PHASE:
-        field = f"{_pair_name(p, int(np.argmax(~(off <= tol.PHASE))))} phase"
-        raise NonUnitaryError(f"{field} is not unit modulus within {tol.PHASE:g}")
-    return to_magic(phases[:, None, None] * _kron2(factors[:, 0], factors[:, 1]))
+    _require_unitary(factors.reshape(-1, 2, 2), names=_field_names(len(p.segments), "u_a", "u_b"))
+    phases = [pair.phase for pair in pairs]
+    _require_unit_modulus(phases, _field_names(len(p.segments), "phase"))
+    return to_magic(np.array(phases, dtype=complex)[:, None, None] * _kron2(factors[:, 0], factors[:, 1]))
 
 
 def _drift_and_durations(p: Protocol) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +103,7 @@ def _drift_and_durations(p: Protocol) -> tuple[np.ndarray, np.ndarray]:
     Raises:
         ValidationError: if a drift component or a segment's duration is
             infinite or NaN, or the total drift phase overflows.
-        NegativeDurationError: if a segment has a negative duration.
+        NegativeDurationError: naming the segment, if its duration is negative.
     """
     alpha = np.asarray(p.hamiltonian_alpha, dtype=float)
     if not np.isfinite(alpha).all():
@@ -121,7 +113,8 @@ def _drift_and_durations(p: Protocol) -> tuple[np.ndarray, np.ndarray]:
         i = int(np.argmin(np.isfinite(durations)))
         raise ValidationError(f"segment {i} duration {durations[i]} is not finite")
     if np.any(durations < 0):
-        raise NegativeDurationError(f"duration {durations[durations < 0][0]} is negative")
+        i = int(np.argmax(durations < 0))
+        raise NegativeDurationError(f"segment {i} duration {durations[i]} is negative")
     lam = alpha_to_lambda(alpha)
     # Python floats overflow to inf without a warning.
     if not math.isfinite(float(np.abs(lam).max()) * sum(durations.tolist())):
@@ -151,13 +144,12 @@ def simulate(p: Protocol) -> np.ndarray:
     Raises:
         ValidationError: if the drift or a segment's duration is infinite or
             NaN, or the total drift phase overflows.
-        NegativeDurationError: if a segment has a negative duration.
+        NegativeDurationError: naming the segment, if its duration is negative.
         NonUnitaryError: naming the field, if a local factor is not unitary
             or a pair phase or ``global_phase`` is not unit-modulus.
     """
     lam, durations = _drift_and_durations(p)
-    if not abs(abs(p.global_phase) - 1.0) <= tol.PHASE:
-        raise NonUnitaryError(f"global_phase is not unit modulus within {tol.PHASE:g}")
+    _require_unit_modulus([p.global_phase], ["global_phase"])
     locals_ = _magic_locals(p)
     locals_[1:-1] *= np.exp(-1j * lam * durations[:, None])[..., None]
     return p.global_phase * from_magic(_running_products(locals_)[-1])
@@ -323,7 +315,7 @@ def trajectory_check(
     Raises:
         ValidationError: if the drift or a segment's duration is infinite or
             NaN, or the total drift phase overflows.
-        NegativeDurationError: if a segment has a negative duration.
+        NegativeDurationError: naming the segment, if its duration is negative.
         NonUnitaryError: naming the field, if a local factor is not unitary
             or a pair phase is not unit-modulus.
     """

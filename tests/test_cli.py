@@ -1,10 +1,12 @@
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_unitary
+from conftest import haar_gates, random_su2, random_unitary
 from gateforge import gates
 from gateforge.cli import (
     EXIT_INFEASIBLE,
@@ -16,8 +18,9 @@ from gateforge.cli import (
     protocol_from_json,
     protocol_to_json,
 )
-from gateforge.errors import GateforgeError, ValidationError
-from gateforge.protocol import synthesize, verify
+from gateforge.errors import GateforgeError, NonUnitaryError, ValidationError
+from gateforge.linalg import LocalUnitaryPair
+from gateforge.protocol import Segment, simulate, synthesize, verify
 
 # Computational-basis CNOT printed in the reversed |11>,|10>,|01>,|00> order.
 CNOT_REVERSED_ORDER = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
@@ -406,15 +409,28 @@ def test_non_finite_or_negative_tolerances_are_rejected(capsys, tmp_path, value)
 
 @pytest.mark.parametrize(
     "duration, message",
-    [(float("nan"), "segment 0 duration"), (float("inf"), "segment 0 duration"), (1.7e308, "drift phase")],
+    [
+        (float("nan"), "segment 0 duration"),
+        (float("inf"), "segment 0 duration"),
+        (1.7e308, "drift phase"),
+        (-0.1, "segment 0 duration"),
+    ],
 )
 def test_non_finite_segment_duration_is_a_validation_error(duration, message):
+    # The library's one check of durations answers for the CLI too.
     p = protocol_to_json(synthesize(gates.CNOT, np.array([1.0, 0.5, 0.2])))
     p["segments"][0]["duration"] = duration
     with pytest.raises(ValidationError, match=message):
-        protocol_from_json(p)
-    with pytest.raises(ValidationError, match=message):
         _run({"cmd": "verify", "gate": "CNOT", "protocol": p}, False)
+
+
+def test_batch_verify_of_a_negative_duration_names_the_segment(capsys, tmp_path):
+    # The error line used to read "duration -0.1 is negative".
+    p = protocol_to_json(synthesize(gates.CNOT, np.array([1.0, 0.6, -0.3])))
+    assert len(p["segments"]) >= 2
+    p["segments"][1]["duration"] = -0.1
+    [out] = run_batch(capsys, tmp_path, [{"cmd": "verify", "gate": "CNOT", "protocol": p}])
+    assert out == {"ok": False, "error": "segment 1 duration -0.1 is negative"}
 
 
 @pytest.mark.parametrize(
@@ -449,6 +465,89 @@ def test_protocol_factor_unitary_within_the_residual_tier_loads():
     p = protocol_to_json(synthesize(gates.CNOT, np.array([1.0, 0.6, -0.3])))
     p["closing"]["u_b"] = (np.array(p["closing"]["u_b"]) * (1 + 2e-9)).tolist()
     assert _run({"cmd": "verify", "gate": "CNOT", "protocol": p}, False)["passed"]
+
+
+_DRIFT = np.array([1.0, 0.6, -0.3])
+
+
+def _cli_gate_matrix(scale):
+    u = random_unitary(4, np.random.default_rng(40)) * scale
+    _run({"cmd": "canon", "gate": {"matrix": [[z.real, z.imag] for z in u.ravel()]}}, False)
+
+
+def _cli_protocol_factor(scale):
+    p = protocol_to_json(synthesize(gates.CNOT, _DRIFT))  # 10 digits: unitary to ~1e-10
+    p["segments"][0]["u_b"] = (np.array(p["segments"][0]["u_b"]) * scale).tolist()
+    assert _run({"cmd": "verify", "gate": "CNOT", "protocol": p}, False)["passed"]
+
+
+def _library_protocol_factor(scale):
+    p = synthesize(gates.CNOT, _DRIFT)
+    local = p.segments[0].local
+    segment = Segment(replace(local, u_b=local.u_b * scale), p.segments[0].duration)
+    simulate(replace(p, segments=(segment, *p.segments[1:])))
+
+
+def _validate(scale):
+    rng = np.random.default_rng(41)
+    LocalUnitaryPair(random_su2(rng) * scale, random_su2(rng)).validate()
+
+
+def _controlled_gate(scale):
+    gates.controlled_gate(np.diag([1.0, np.exp(1j * np.pi / 5)]) * scale)
+
+
+@pytest.mark.parametrize(
+    "load, tier, name",
+    [
+        (_cli_gate_matrix, 1e-8, "matrix"),
+        (_cli_protocol_factor, 1e-8, "segment 0 u_b"),
+        (_library_protocol_factor, 1e-10, "segment 0 u_b"),
+        (_validate, 1e-10, "u_a"),
+        (_controlled_gate, 1e-10, "controlled operation"),
+    ],
+    ids=["cli-gate-matrix", "cli-protocol-factor", "library-protocol-factor", "validate", "controlled_gate"],
+)
+def test_each_caller_admits_unitaries_by_the_one_rule(load, tier, name):
+    # Scaling a unitary by 1 + e moves u u^dag off the identity by 2e + e^2.
+    load(1 + 0.4 * tier)
+    with pytest.raises(NonUnitaryError, match=f"^{re.escape(name)} is not unitary within {tier:g}$"):
+        load(1 + 0.6 * tier)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gate=haar_gates(), data=st.data())
+def test_cli_and_library_name_the_same_corrupted_field(gate, data):
+    p = synthesize(gate, _DRIFT)
+    k = len(p.segments)
+    field = data.draw(st.sampled_from(["u_a", "u_b", "phase", "duration"][: 4 if k else 3]))
+    i = data.draw(st.integers(1, k) if field == "duration" else st.integers(0, k + 1))
+    name = f"{['opening', *(f'segment {j}' for j in range(k)), 'closing'][i]} {field}"
+
+    obj = protocol_to_json(p)
+    objs = [obj["opening"], *obj["segments"], obj["closing"]]
+    pairs = [p.opening, *(seg.local for seg in p.segments), p.closing]
+    durations = [seg.duration for seg in p.segments]
+    if field == "duration":
+        objs[i]["duration"] = durations[i - 1] = -0.1
+    elif field == "phase":
+        objs[i]["phase"] = [0.0, 0.0]
+        pairs[i] = replace(pairs[i], phase=0.0)
+    else:
+        objs[i][field] = (2 * np.array(objs[i][field])).tolist()
+        pairs[i] = replace(pairs[i], **{field: 2 * getattr(pairs[i], field)})
+    corrupted = replace(
+        p,
+        opening=pairs[0],
+        segments=tuple(Segment(local, t) for local, t in zip(pairs[1:-1], durations)),
+        closing=pairs[-1],
+    )
+    with pytest.raises(ValidationError) as cli_error:
+        _run({"cmd": "verify", "gate": "CNOT", "protocol": obj}, False)
+    with pytest.raises(ValidationError) as library_error:
+        verify(corrupted, gate)
+    assert str(cli_error.value).startswith(name)
+    assert str(library_error.value).startswith(name)
 
 
 def test_synth_protocols_of_random_gates_verify_after_the_json_round_trip():

@@ -320,8 +320,10 @@ _CALLS = pytest.mark.parametrize("call", [simulate, _verify_cnot, trajectory_che
         (lambda p: replace(p, hamiltonian_alpha=np.array([1.0, np.nan, 0.0])), r"drift \[1.0, nan, 0.0\] is not finite"),
         (lambda p: replace(_with_segment(p, 0, duration=1e10), hamiltonian_alpha=np.array([1e300, 0.0, 0.0])),
          "total drift phase of the protocol overflows"),
+        (lambda p: _with_segment(p, 1, duration=-0.1), "segment 1 duration -0.1 is negative"),
     ],
-    ids=["nan-duration", "inf-duration", "minus-inf-duration", "inf-drift", "nan-drift", "phase-overflow"],
+    ids=["nan-duration", "inf-duration", "minus-inf-duration", "inf-drift", "nan-drift", "phase-overflow",
+         "negative-duration"],
 )
 def test_non_finite_durations_and_drifts_are_named(call, edit, match):
     with pytest.raises(ValidationError, match=match):
