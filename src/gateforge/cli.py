@@ -18,8 +18,10 @@ routed through the canonicalizer.  Protocol files are JSON with fields
 ``{u_a, u_b, phase, duration}``), ``closing``, ``global_phase`` and
 ``total_time``; complex numbers are ``[re, im]`` pairs.  Loading only
 parses, admits matrices unitary within the RESIDUAL tier and projects them
-onto unitaries; the library checks durations.  Output has 10 significant
-digits.  Angles are radians; ``--degrees`` converts inputs only.
+onto their unitary polar factors (one ``svd`` for a 4x4 gate, a closed form
+for a protocol's 2x2 factors); the library checks durations.  Output has 10
+significant digits; a protocol is rounded in one pass over one stacked
+array.  Angles are radians; ``--degrees`` converts inputs only.
 
 Exit codes: 0 success/verified, 1 validation error, 2 infeasible,
 3 internal residual failure.
@@ -44,32 +46,29 @@ EXIT_VALIDATION = 1
 EXIT_INFEASIBLE = 2
 EXIT_RESIDUAL = 3
 
-_SIG_DIGITS = 10
-
 
 # ---------------------------------------------------------------------------
 # Number and matrix (de)serialization.
 # ---------------------------------------------------------------------------
 
 def _sig(x: float) -> float:
-    """Rounds to 10 significant digits (idempotent, so round-trips are stable)."""
-    if x == 0:
-        return 0.0
-    if not math.isfinite(x):
-        return x
-    return float(f"{x:.{_SIG_DIGITS}g}")
+    """Rounds to 10 significant digits (idempotent, so round-trips are stable);
+    zero, also ``-0.0``, becomes ``0.0``, and inf and NaN pass through."""
+    return 0.0 if x == 0 else float(f"{x:.10g}")
+
+
+def _rounded(values: np.ndarray) -> list[float]:
+    """Each value of a float array rounded as :func:`_sig` rounds it, in one
+    pass over one ``tolist``."""
+    return [0.0 if x == 0 else float(f"{x:.10g}") for x in values.tolist()]
 
 
 def _json_complex(z: complex) -> list[float]:
-    return [_sig(float(np.real(z))), _sig(float(np.imag(z)))]
+    return _rounded(np.array([z], dtype=complex).view(float))
 
 
 def _json_vector(v) -> list[float]:
-    return [_sig(float(x)) for x in np.asarray(v, dtype=float)]
-
-
-def _json_matrix2(m: np.ndarray) -> list[list[list[float]]]:
-    return [[_json_complex(m[i, j]) for j in range(2)] for i in range(2)]
+    return _rounded(np.asarray(v, dtype=float))
 
 
 def _unit_phase_from(pair, what: str) -> complex:
@@ -82,55 +81,102 @@ def _unit_phase_from(pair, what: str) -> complex:
     return phase / abs(phase)
 
 
+def _pair_values(pairs) -> np.ndarray:
+    """The entries of local pairs as one float array: per pair, the
+    ``[re, im]`` of ``u_a``'s four entries, ``u_b``'s four and the phase."""
+    z = np.empty((len(pairs), 9), dtype=complex)
+    z[:, :8] = np.array([(pair.u_a, pair.u_b) for pair in pairs]).reshape(-1, 8)
+    z[:, 8] = [pair.phase for pair in pairs]
+    return z.view(float).ravel()
+
+
+def _pair_objects(values: list[float]) -> list[dict]:
+    """The ``{u_a, u_b, phase}`` objects of rounded :func:`_pair_values`."""
+    z = [values[i : i + 2] for i in range(0, len(values), 2)]
+    return [
+        {"u_a": [z[i : i + 2], z[i + 2 : i + 4]], "u_b": [z[i + 4 : i + 6], z[i + 6 : i + 8]], "phase": z[i + 8]}
+        for i in range(0, len(z), 9)
+    ]
+
+
 def _pair_to_json(pair: LocalUnitaryPair) -> dict:
-    return {
-        "u_a": _json_matrix2(pair.u_a),
-        "u_b": _json_matrix2(pair.u_b),
-        "phase": _json_complex(pair.phase),
-    }
+    return _pair_objects(_rounded(_pair_values([pair])))[0]
 
 
 def _admitted_unitary(m: np.ndarray, names: tuple[str, ...] | None = None) -> np.ndarray:
     """``m``, or each matrix of a stack (named ``names`` in errors), admitted
     when unitary within the RESIDUAL tier and projected onto its unitary
-    polar factor, which moves no entry by more than the admitted error."""
-    u, _, vh = np.linalg.svd(_require_unitary(m, atol=tolerances.RESIDUAL, names=names))
-    return u @ vh
+    polar factor, which moves no entry by more than the admitted error.
+
+    A 4x4 gate takes its polar factor from one ``svd``.  A ``(k, 2, 2)``
+    stack takes it in closed form: by Cayley-Hamilton, ``M + e^{i arg det M}
+    adj(M)^H`` is ``s1 + s2`` times the polar factor of ``M``, whose
+    Frobenius norm is ``sqrt 2``."""
+    m = _require_unitary(m, atol=tolerances.RESIDUAL, names=names)
+    if m.shape[-1] != 2:
+        u, _, vh = np.linalg.svd(m)
+        return u @ vh
+    a, b, c, d = m.reshape(-1, 4).T
+    det = a * d - b * c
+    adj_h = np.stack([d, -c, -b, a], axis=-1).conj().reshape(-1, 2, 2)
+    y = m + (det / np.abs(det))[:, None, None] * adj_h
+    yf = y.reshape(-1, 4).view(float)
+    return y * (np.sqrt(2) / np.sqrt((yf * yf).sum(axis=-1)))[:, None, None]
 
 
 def protocol_to_json(p: protocol.Protocol) -> dict:
-    """Serializable form of a protocol (see the module docstring for fields)."""
+    """Serializable form of a protocol (see the module docstring for fields).
+    Every number is rounded in one pass over one stacked array."""
+    pairs = (p.opening, *(seg.local for seg in p.segments), p.closing)
+    alpha = np.asarray(p.hamiltonian_alpha, dtype=float).ravel()
+    values = _rounded(
+        np.concatenate([
+            _pair_values(pairs),
+            np.array([p.global_phase], dtype=complex).view(float),
+            alpha,
+            [seg.duration for seg in p.segments],
+            [p.total_time],
+        ])
+    )
+    n = 18 * len(pairs)
+    opening, *locals_, closing = _pair_objects(values[:n])
     return {
-        "hamiltonian_alpha": _json_vector(p.hamiltonian_alpha),
-        "opening": _pair_to_json(p.opening),
-        "segments": [
-            {**_pair_to_json(seg.local), "duration": _sig(seg.duration)}
-            for seg in p.segments
-        ],
-        "closing": _pair_to_json(p.closing),
-        "global_phase": _json_complex(p.global_phase),
-        "total_time": _sig(p.total_time),
+        "hamiltonian_alpha": values[n + 2 : n + 2 + len(alpha)],
+        "opening": opening,
+        "segments": [{**pair, "duration": t} for pair, t in zip(locals_, values[n + 2 + len(alpha) : -1])],
+        "closing": closing,
+        "global_phase": values[n : n + 2],
+        "total_time": values[-1],
     }
 
 
 def protocol_from_json(obj: dict) -> protocol.Protocol:
     """Loads a protocol object (see the module docstring for fields).
 
-    Only parses: all factors are admitted and projected as one stack by
-    :func:`_admitted_unitary`, and each phase is scaled to unit modulus,
-    which its 10 digits only approximate.  Durations are left to the
-    library, which checks them, naming the segment, when the protocol is used.
+    Only parses: all factors are parsed in one call, then admitted and
+    projected as one stack by :func:`_admitted_unitary` (a closed-form polar
+    factor, no LAPACK), and each phase is scaled to unit modulus, which its
+    10 digits only approximate.  Durations are left to the library, which
+    checks them, naming the segment, when the protocol is used.
 
     Raises:
         ValidationError: naming the field at fault: a drift that is not a
-            finite 3-vector, a factor that is not unitary within 1e-8, or a
-            zero or non-finite pair phase or ``global_phase``.
+            finite 3-vector, a factor that is not a 2x2 matrix of finite
+            ``[re, im]`` pairs (``segment 1 u_b must be ...``) or not unitary
+            within 1e-8, or a zero or non-finite pair phase or
+            ``global_phase``.
     """
     alpha = _reals(obj["hamiltonian_alpha"], (3,), "hamiltonian_alpha must be a finite 3-vector")
     objs = [obj["opening"], *obj["segments"], obj["closing"]]
-    message = "u_a and u_b must be 2x2 matrices of finite [re, im] pairs"
-    factors = _reals([(pair["u_a"], pair["u_b"]) for pair in objs], (len(objs), 2, 2, 2, 2), message)
     names = protocol._field_names(len(objs) - 2, "u_a", "u_b")
+    values = [pair[key] for pair in objs for key in ("u_a", "u_b")]
+    try:
+        factors = _reals(values, (len(values), 2, 2, 2), "u_a and u_b must be 2x2 matrices of finite [re, im] pairs")
+    except ValidationError:
+        # Only on failure: parse factor by factor to name the one at fault.
+        for value, name in zip(values, names):
+            _reals(value, (2, 2, 2), f"{name} must be a 2x2 matrix of finite [re, im] pairs")
+        raise
     factors = _admitted_unitary(factors.view(complex).reshape(-1, 2, 2), names).reshape(-1, 2, 2, 2)
     names = protocol._field_names(len(objs) - 2, "phase")
     opening, *locals_, closing = (

@@ -49,8 +49,8 @@ class BetaOutOfRangeError(ValidationError):
 class NotAProductError(GateforgeError):
     """Operator is not a tensor product of single-qubit unitaries.
 
-    Carries the offending second singular value of the rearranged matrix in
-    ``residual``.
+    Carries the offending (finite) value in ``residual``: the rank-one
+    residual of the rearranged matrix, or the reassembly residual.
     """
 
     def __init__(self, message: str, residual: float = float("nan")):

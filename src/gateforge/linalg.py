@@ -57,8 +57,17 @@ def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _unitarity_gap(rows: np.ndarray) -> np.ndarray:
-    """Entrywise ``|m @ m.conj().T - I|`` for each matrix ``m`` of a stack."""
-    return np.abs(rows @ rows.transpose(0, 2, 1).conj() - np.eye(rows.shape[-1]))
+    """Entrywise ``|m @ m.conj().T - I|`` for each matrix ``m`` of a stack
+    ``(n, k, k)``.  For ``k = 2`` only the three distinct entries, from the
+    four entries ``a, b, c, d`` of ``m``: ``|a|^2 + |b|^2 - 1``,
+    ``|c|^2 + |d|^2 - 1`` and ``a conj(c) + b conj(d)``, as ``(n, 1, 3)``."""
+    if rows.shape[-1] != 2:
+        return np.abs(rows @ rows.transpose(0, 2, 1).conj() - np.eye(rows.shape[-1]))
+    a, b, c, d = rows.reshape(-1, 4).T
+    rf = np.ascontiguousarray(rows).view(float)
+    norms = (rf * rf).sum(axis=-1) - 1.0
+    cross = a * c.conj() + b * d.conj()
+    return np.concatenate([np.abs(norms), np.abs(cross)[:, None]], axis=-1)[:, None]
 
 
 def _first_row_over(err: np.ndarray, limit: float) -> tuple[int, float]:
@@ -259,41 +268,54 @@ def joint_diagonalize_symmetric_unitary(m: np.ndarray) -> tuple[np.ndarray, np.n
 def kron_factor(m: np.ndarray) -> LocalUnitaryPair | tuple[LocalUnitaryPair, ...]:
     """Factors a product operator into ``phase * (A (x) B)``.
 
-    Works by rearranging ``m`` into the 4x4 matrix whose rank counts the
-    Kronecker rank, then reading the factors off the dominant singular pair.
-    The gauge is fixed deterministically: ``det(A) = det(B) = 1`` and the
-    first above-threshold entry of each factor has argument in (-pi/2, pi/2]
-    (real nonnegative whenever a sign flip can achieve it).
+    Rearranges ``m`` into the 4x4 matrix ``R = vec(A) vec(B)^T``, which is
+    rank one for a product, and reads the factors off it without LAPACK:
+    ``vec(A) = R conj(r)`` for its largest-norm row ``r``, then
+    ``vec(B) = R^T conj(vec A) / |vec A|^2``.  Both are then scaled to
+    determinant one by the closed-form 2x2 determinant ``ad - bc``.  The
+    gauge is fixed deterministically: ``det(A) = det(B) = 1`` and the first
+    above-threshold entry of each factor has argument in (-pi/2, pi/2] (real
+    nonnegative whenever a sign flip can achieve it).
 
-    ``m`` is one 4x4 matrix or a stack ``(n, 4, 4)``.  A stack goes through
-    one batched ``svd`` and one batched ``det`` and returns a tuple of ``n``
-    pairs; a single matrix is the ``n = 1`` case of the same code and returns
-    its pair, so each matrix of a stack gets exactly the pair it gets alone.
+    ``m`` is one 4x4 matrix or a stack ``(n, 4, 4)``, which returns a tuple
+    of ``n`` pairs.  Every step works row by row, so each matrix of a stack
+    gets exactly the pair it gets alone.
 
     Raises:
         NonUnitaryError: if ``m`` is not unitary within ``RESIDUAL`` (1e-8).
-        NotAProductError: if the second singular value of the rearranged
-            matrix exceeds ``RESIDUAL``, i.e. ``m`` is genuinely non-local, or
-            the factors fail to reassemble ``m`` within it; ``residual`` holds
-            the offending value.
+        NotAProductError: if the rank-one residual ``max|R - vec(A) vec(B)^T|``
+            exceeds ``RESIDUAL``, i.e. ``m`` is genuinely non-local, or the
+            factors fail to reassemble ``m`` within it; ``residual`` holds the
+            offending (finite) value.
         For a stack, the message names the first failing row.
     """
     m = _require_unitary(m, "product candidate", atol=tol.RESIDUAL)
     stacked = m.ndim == 3
     ms = m if stacked else m[None]
     n = len(ms)
+    rows = np.arange(n)
     r = ms.reshape(n, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(n, 4, 4)
-    u, sv, vh = np.linalg.svd(r)
-    if not sv[:, 1].max() <= tol.RESIDUAL:
-        row, second = _first_row_over(sv[:, 1, None, None], tol.RESIDUAL)
+    # A unitary's R has Frobenius norm 2, so its largest row r has
+    # |r|^2 >= 1, and A's entry on that row is |r|^2.  Taking B from A is
+    # one power step: (A, B) is then the dominant singular pair to second
+    # order in m's distance from a product (~1e-10 for 10-digit input).
+    rf = r.view(float)
+    norms = (rf * rf).sum(axis=-1)
+    longest = norms.argmax(axis=-1)
+    a = (r @ r[rows, longest, :, None].conj())[..., 0]
+    af = a.view(float)
+    b = (a[:, None].conj() @ r)[:, 0] / (af * af).sum(axis=-1)[:, None]
+    rank_one = np.abs(r - a[:, :, None] * b[:, None, :])
+    if not rank_one.max() <= tol.RESIDUAL:
+        row, worst = _first_row_over(rank_one, tol.RESIDUAL)
         raise NotAProductError(
-            f"second Kronecker singular value {second:.3g}{_row_label(stacked, row)} exceeds {tol.RESIDUAL:g}",
-            residual=second,
+            f"Kronecker rank-one residual {worst:.3g}{_row_label(stacked, row)} exceeds {tol.RESIDUAL:g}",
+            residual=worst,
         )
     # ab[:, 0] and ab[:, 1] are the factors A and B, scaled to determinant one.
-    ab = np.stack([u[:, :, 0] * np.sqrt(2), vh[:, 0] * (sv[:, :1] / np.sqrt(2))], axis=1).reshape(n, 2, 2, 2)
-    ab = ab / np.sqrt(np.linalg.det(ab))[..., None, None]
-    rows = np.arange(n)
+    ab = np.stack([a, b], axis=1)
+    det = ab[..., 0] * ab[..., 3] - ab[..., 1] * ab[..., 2]
+    ab = (ab / np.sqrt(det)[..., None]).reshape(n, 2, 2, 2)
     kron = _kron2(ab[:, 0], ab[:, 1])
     flat = kron.reshape(n, 16)
     idx = np.abs(flat).argmax(axis=-1)

@@ -1,12 +1,13 @@
 """Shared sampling helpers and test-local oracles for the test suite."""
 
 import itertools
+import math
 
 import numpy as np
 from hypothesis import strategies as st
 
 from gateforge.canonical import QUARTER_PI, _chamber_reduce, alpha_to_lambda, s_order
-from gateforge.linalg import MAGIC, PAULIS, LocalUnitaryPair, drift_exponential
+from gateforge.linalg import MAGIC, PAULIS, LocalUnitaryPair, _kron2, drift_exponential
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -188,3 +189,71 @@ def makhlin_invariants(u):
 def invariant_gap(u, v):
     """Largest difference between the Makhlin invariants of ``u`` and ``v``."""
     return float(np.max(np.abs(makhlin_invariants(u) - makhlin_invariants(v))))
+
+
+# Test-local local-layer oracles: LAPACK ``svd`` where the package uses
+# closed forms, and per-scalar rounding where it rounds in one pass.
+
+def reference_unitarity_gap(rows):
+    """Entrywise ``|m @ m^H - I|`` of each matrix of a stack, by ``matmul``."""
+    return np.abs(rows @ rows.transpose(0, 2, 1).conj() - np.eye(rows.shape[-1]))
+
+
+def reference_polar(m):
+    """The unitary polar factor of each matrix of a stack, by ``svd``."""
+    u, _, vh = np.linalg.svd(m)
+    return u @ vh
+
+
+def reference_kron_factor(m):
+    """``(u_a, u_b, phase)`` stacks of the product operators of a stack
+    ``(n, 4, 4)``, from the dominant singular pair of the rearranged matrix,
+    in the gauge of :func:`gateforge.linalg.kron_factor`: determinant one,
+    each factor's first entry above 1e-8 with argument in (-pi/2, pi/2]."""
+    n = len(m)
+    r = m.reshape(n, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(n, 4, 4)
+    u, sv, vh = np.linalg.svd(r)
+    ab = np.stack([u[:, :, 0] * np.sqrt(2), vh[:, 0] * (sv[:, :1] / np.sqrt(2))], axis=1).reshape(n, 2, 2, 2)
+    ab = ab / np.sqrt(np.linalg.det(ab))[..., None, None]
+    rows = np.arange(n)
+    flat = _kron2(ab[:, 0], ab[:, 1]).reshape(n, 16)
+    idx = np.abs(flat).argmax(axis=-1)
+    phase = m.reshape(n, 16)[rows, idx] / flat[rows, idx]
+    phase = phase / np.hypot(phase.real, phase.imag)
+    entries = ab.reshape(2 * n, 4)
+    lead = entries[np.arange(2 * n), (np.abs(entries) > 1e-8).argmax(axis=-1)].reshape(n, 2)
+    flip = (lead.real < -1e-12) | ((np.abs(lead.real) <= 1e-12) & (lead.imag < 0))
+    ab = np.where(flip[..., None, None], -ab, ab)
+    sign = np.where(flip, -1.0, 1.0)
+    return ab[:, 0], ab[:, 1], phase * sign[:, 0] * sign[:, 1]
+
+
+def _reference_sig(x):
+    if x == 0:
+        return 0.0
+    if not math.isfinite(x):
+        return x
+    return float(f"{x:.10g}")
+
+
+def _reference_complex(z):
+    return [_reference_sig(float(np.real(z))), _reference_sig(float(np.imag(z)))]
+
+
+def _reference_pair(pair):
+    def matrix(m):
+        return [[_reference_complex(m[i, j]) for j in range(2)] for i in range(2)]
+
+    return {"u_a": matrix(pair.u_a), "u_b": matrix(pair.u_b), "phase": _reference_complex(pair.phase)}
+
+
+def reference_protocol_to_json(p):
+    """A protocol's JSON object, every number rounded on its own."""
+    return {
+        "hamiltonian_alpha": [_reference_sig(float(x)) for x in np.asarray(p.hamiltonian_alpha, dtype=float)],
+        "opening": _reference_pair(p.opening),
+        "segments": [{**_reference_pair(seg.local), "duration": _reference_sig(seg.duration)} for seg in p.segments],
+        "closing": _reference_pair(p.closing),
+        "global_phase": _reference_complex(p.global_phase),
+        "total_time": _reference_sig(p.total_time),
+    }
