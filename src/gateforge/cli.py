@@ -20,8 +20,8 @@ routed through the canonicalizer.  Protocol files are JSON with fields
 parses, admits matrices unitary within the RESIDUAL tier and projects them
 onto their unitary polar factors (one ``svd`` for a 4x4 gate, a closed form
 for a protocol's 2x2 factors); the library checks durations.  Output has 10
-significant digits; a protocol is rounded in one pass over one stacked
-array.  Angles are radians; ``--degrees`` converts inputs only.
+significant digits; a protocol's local pairs are rounded in one pass over
+one stacked array.  Angles are radians; ``--degrees`` converts inputs only.
 
 Exit codes: 0 success/verified, 1 validation error, 2 infeasible,
 3 internal residual failure.
@@ -60,7 +60,7 @@ def _sig(x: float) -> float:
 def _rounded(values: np.ndarray) -> list[float]:
     """Each value of a float array rounded as :func:`_sig` rounds it, in one
     pass over one ``tolist``."""
-    return [0.0 if x == 0 else float(f"{x:.10g}") for x in values.tolist()]
+    return list(map(_sig, values.tolist()))
 
 
 def _json_complex(z: complex) -> list[float]:
@@ -126,27 +126,16 @@ def _admitted_unitary(m: np.ndarray, names: tuple[str, ...] | None = None) -> np
 
 def protocol_to_json(p: protocol.Protocol) -> dict:
     """Serializable form of a protocol (see the module docstring for fields).
-    Every number is rounded in one pass over one stacked array."""
+    All local pairs are rounded in one pass over one stacked array."""
     pairs = (p.opening, *(seg.local for seg in p.segments), p.closing)
-    alpha = np.asarray(p.hamiltonian_alpha, dtype=float).ravel()
-    values = _rounded(
-        np.concatenate([
-            _pair_values(pairs),
-            np.array([p.global_phase], dtype=complex).view(float),
-            alpha,
-            [seg.duration for seg in p.segments],
-            [p.total_time],
-        ])
-    )
-    n = 18 * len(pairs)
-    opening, *locals_, closing = _pair_objects(values[:n])
+    opening, *locals_, closing = _pair_objects(_rounded(_pair_values(pairs)))
     return {
-        "hamiltonian_alpha": values[n + 2 : n + 2 + len(alpha)],
+        "hamiltonian_alpha": _json_vector(p.hamiltonian_alpha),
         "opening": opening,
-        "segments": [{**pair, "duration": t} for pair, t in zip(locals_, values[n + 2 + len(alpha) : -1])],
+        "segments": [{**pair, "duration": _sig(seg.duration)} for pair, seg in zip(locals_, p.segments)],
         "closing": closing,
-        "global_phase": values[n : n + 2],
-        "total_time": values[-1],
+        "global_phase": _json_complex(p.global_phase),
+        "total_time": _sig(p.total_time),
     }
 
 

@@ -57,17 +57,8 @@ def _kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _unitarity_gap(rows: np.ndarray) -> np.ndarray:
-    """Entrywise ``|m @ m.conj().T - I|`` for each matrix ``m`` of a stack
-    ``(n, k, k)``.  For ``k = 2`` only the three distinct entries, from the
-    four entries ``a, b, c, d`` of ``m``: ``|a|^2 + |b|^2 - 1``,
-    ``|c|^2 + |d|^2 - 1`` and ``a conj(c) + b conj(d)``, as ``(n, 1, 3)``."""
-    if rows.shape[-1] != 2:
-        return np.abs(rows @ rows.transpose(0, 2, 1).conj() - np.eye(rows.shape[-1]))
-    a, b, c, d = rows.reshape(-1, 4).T
-    rf = np.ascontiguousarray(rows).view(float)
-    norms = (rf * rf).sum(axis=-1) - 1.0
-    cross = a * c.conj() + b * d.conj()
-    return np.concatenate([np.abs(norms), np.abs(cross)[:, None]], axis=-1)[:, None]
+    """Entrywise ``|m @ m.conj().T - I|`` for each matrix ``m`` of a stack."""
+    return np.abs(rows @ rows.transpose(0, 2, 1).conj() - np.eye(rows.shape[-1]))
 
 
 def _first_row_over(err: np.ndarray, limit: float) -> tuple[int, float]:

@@ -194,11 +194,6 @@ def invariant_gap(u, v):
 # Test-local local-layer oracles: LAPACK ``svd`` where the package uses
 # closed forms, and per-scalar rounding where it rounds in one pass.
 
-def reference_unitarity_gap(rows):
-    """Entrywise ``|m @ m^H - I|`` of each matrix of a stack, by ``matmul``."""
-    return np.abs(rows @ rows.transpose(0, 2, 1).conj() - np.eye(rows.shape[-1]))
-
-
 def reference_polar(m):
     """The unitary polar factor of each matrix of a stack, by ``svd``."""
     u, _, vh = np.linalg.svd(m)

@@ -12,7 +12,6 @@ from conftest import (
     random_unitary,
     reference_polar,
     reference_protocol_to_json,
-    reference_unitarity_gap,
 )
 from gateforge import gates
 from gateforge.cli import (
@@ -28,7 +27,7 @@ from gateforge.cli import (
     protocol_to_json,
 )
 from gateforge.errors import GateforgeError, NonUnitaryError, ValidationError
-from gateforge.linalg import LocalUnitaryPair
+from gateforge.linalg import LocalUnitaryPair, _unitarity_gap
 from gateforge.protocol import Protocol, Segment, simulate, synthesize, verify
 
 # Computational-basis CNOT printed in the reversed |11>,|10>,|01>,|00> order.
@@ -740,7 +739,7 @@ def _at_admission_edge(rows, rng):
     """Each matrix moved by complex noise until its unitarity gap is ~0.99e-8,
     just inside the 1e-8 admission tier."""
     noise = rng.normal(size=rows.shape) + 1j * rng.normal(size=rows.shape)
-    probe = reference_unitarity_gap(rows + 1e-9 * noise).max(axis=(-2, -1))
+    probe = _unitarity_gap(rows + 1e-9 * noise).max(axis=(-2, -1))
     return rows + (1e-9 * 0.99e-8 / probe)[:, None, None] * noise
 
 
@@ -756,10 +755,10 @@ def test_closed_form_polar_matches_svd_oracle(seed, n, edge):
         rows = _at_admission_edge(rows, rng)
     else:
         rows = np.vectorize(_sig)(rows.real) + 1j * np.vectorize(_sig)(rows.imag)
-    assert reference_unitarity_gap(rows).max() <= 1e-8
+    assert _unitarity_gap(rows).max() <= 1e-8
     polar = _admitted_unitary(rows)
     assert np.abs(polar - reference_polar(rows)).max() <= 2e-15
-    assert reference_unitarity_gap(polar).max() <= 1e-15
+    assert _unitarity_gap(polar).max() <= 1e-15
 
 
 _EDGE_VALUES = [-0.0, 5e-324, -5e-324, 1e-300, 1 - 1e-16, -(1 - 1e-16), float("inf"), float("nan")]
