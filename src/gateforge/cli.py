@@ -3,7 +3,9 @@
 
 Every subcommand builds the same request object that a ``batch`` line
 carries (``_request``: one flag, one field), and one runner (``_run``)
-validates and answers both.  Only writing ``synth``'s protocol to ``--out``,
+validates and answers both.  The command runners return library values;
+``_run`` turns each result into JSON data in one pass (``_plain``), which
+rounds every number once.  Only writing ``synth``'s protocol to ``--out``,
 alpha-reorder warnings and exit codes belong to the subcommands.
 
 External formats
@@ -20,8 +22,8 @@ routed through the canonicalizer.  Protocol files are JSON with fields
 parses, admits matrices unitary within the RESIDUAL tier and projects them
 onto their unitary polar factors (one ``svd`` for a 4x4 gate, a closed form
 for a protocol's 2x2 factors); the library checks durations.  Output has 10
-significant digits; a protocol's local pairs are rounded in one pass over
-one stacked array.  Angles are radians; ``--degrees`` converts inputs only.
+significant digits, each number rounded once by that one pass.  Angles are
+radians; ``--degrees`` converts inputs only.
 
 Exit codes: 0 success/verified, 1 validation error, 2 infeasible,
 3 internal residual failure.
@@ -57,50 +59,43 @@ def _sig(x: float) -> float:
     return 0.0 if x == 0 else float(f"{x:.10g}")
 
 
-def _rounded(values: np.ndarray) -> list[float]:
-    """Each value of a float array rounded as :func:`_sig` rounds it, in one
-    pass over one ``tolist``."""
-    return list(map(_sig, values.tolist()))
+def _plain(value):
+    """``value`` as JSON-ready Python data, each number rounded once: dicts,
+    lists and tuples become objects and lists, numpy arrays and scalars go
+    through ``tolist``, a complex number becomes ``[re, im]`` and every float
+    goes through :func:`_sig`; ints, bools, strings and ``None`` pass through."""
+    if isinstance(value, float):
+        return _sig(value)
+    if isinstance(value, complex):
+        return [_sig(value.real), _sig(value.imag)]
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, (np.ndarray, np.generic)):
+        return _plain(value.tolist())
+    return value
 
 
-def _json_complex(z: complex) -> list[float]:
-    return _rounded(np.array([z], dtype=complex).view(float))
-
-
-def _json_vector(v) -> list[float]:
-    return _rounded(np.asarray(v, dtype=float))
-
-
-def _unit_phase_from(pair, what: str) -> complex:
-    """A serialized phase scaled to unit modulus, which its 10 digits only
-    approximate; a zero or non-finite phase raises ``ValidationError``
-    naming ``what``."""
-    phase = complex(float(pair[0]), float(pair[1]))
+def _unit_phase_from(value, what: str) -> complex:
+    """A serialized ``[re, im]`` phase scaled to unit modulus, which its 10
+    digits only approximate; anything but a finite nonzero pair raises
+    ``ValidationError`` naming ``what``."""
+    try:
+        re, im = value
+        phase = complex(float(re), float(im))
+    except (TypeError, ValueError, OverflowError):
+        phase = math.nan  # not a pair of numbers: rejected below
     if not (math.isfinite(abs(phase)) and phase != 0):
         raise ValidationError(f"{what} must be a finite nonzero [re, im] pair")
     return phase / abs(phase)
 
 
-def _pair_values(pairs) -> np.ndarray:
-    """The entries of local pairs as one float array: per pair, the
-    ``[re, im]`` of ``u_a``'s four entries, ``u_b``'s four and the phase."""
-    z = np.empty((len(pairs), 9), dtype=complex)
-    z[:, :8] = np.array([(pair.u_a, pair.u_b) for pair in pairs]).reshape(-1, 8)
-    z[:, 8] = [pair.phase for pair in pairs]
-    return z.view(float).ravel()
-
-
-def _pair_objects(values: list[float]) -> list[dict]:
-    """The ``{u_a, u_b, phase}`` objects of rounded :func:`_pair_values`."""
-    z = [values[i : i + 2] for i in range(0, len(values), 2)]
-    return [
-        {"u_a": [z[i : i + 2], z[i + 2 : i + 4]], "u_b": [z[i + 4 : i + 6], z[i + 6 : i + 8]], "phase": z[i + 8]}
-        for i in range(0, len(z), 9)
-    ]
-
-
-def _pair_to_json(pair: LocalUnitaryPair) -> dict:
-    return _pair_objects(_rounded(_pair_values([pair])))[0]
+def _pair_layout(pair: LocalUnitaryPair) -> dict:
+    """A local pair's fields; its factors are taken as complex, so that each
+    entry serializes as ``[re, im]`` whatever the factors' dtype."""
+    u_a, u_b = np.asarray(pair.u_a, dtype=complex), np.asarray(pair.u_b, dtype=complex)
+    return {"u_a": u_a, "u_b": u_b, "phase": complex(pair.phase)}
 
 
 def _admitted_unitary(m: np.ndarray, names: tuple[str, ...] | None = None) -> np.ndarray:
@@ -124,19 +119,21 @@ def _admitted_unitary(m: np.ndarray, names: tuple[str, ...] | None = None) -> np
     return y * (np.sqrt(2) / np.sqrt((yf * yf).sum(axis=-1)))[:, None, None]
 
 
-def protocol_to_json(p: protocol.Protocol) -> dict:
-    """Serializable form of a protocol (see the module docstring for fields).
-    All local pairs are rounded in one pass over one stacked array."""
-    pairs = (p.opening, *(seg.local for seg in p.segments), p.closing)
-    opening, *locals_, closing = _pair_objects(_rounded(_pair_values(pairs)))
+def _protocol_layout(p: protocol.Protocol) -> dict:
+    """A protocol's fields (see the module docstring), unrounded."""
     return {
-        "hamiltonian_alpha": _json_vector(p.hamiltonian_alpha),
-        "opening": opening,
-        "segments": [{**pair, "duration": _sig(seg.duration)} for pair, seg in zip(locals_, p.segments)],
-        "closing": closing,
-        "global_phase": _json_complex(p.global_phase),
-        "total_time": _sig(p.total_time),
+        "hamiltonian_alpha": np.asarray(p.hamiltonian_alpha, dtype=float),
+        "opening": _pair_layout(p.opening),
+        "segments": [{**_pair_layout(seg.local), "duration": float(seg.duration)} for seg in p.segments],
+        "closing": _pair_layout(p.closing),
+        "global_phase": complex(p.global_phase),
+        "total_time": p.total_time,
     }
+
+
+def protocol_to_json(p: protocol.Protocol) -> dict:
+    """Serializable form of a protocol (see the module docstring for fields)."""
+    return _plain(_protocol_layout(p))
 
 
 def protocol_from_json(obj: dict) -> protocol.Protocol:
@@ -149,16 +146,19 @@ def protocol_from_json(obj: dict) -> protocol.Protocol:
     checks them, naming the segment, when the protocol is used.
 
     Raises:
-        ValidationError: naming the field at fault: a drift that is not a
-            finite 3-vector, a factor that is not a 2x2 matrix of finite
-            ``[re, im]`` pairs (``segment 1 u_b must be ...``) or not unitary
-            within 1e-8, or a zero or non-finite pair phase or
-            ``global_phase``.
+        ValidationError: naming the field at fault (``segment 0 needs a
+            'duration' field``, ``segment 1 u_b must be a 2x2 matrix of finite
+            [re, im] pairs``): a missing or mistyped field, a factor not
+            unitary within 1e-8 or a zero phase.
     """
-    alpha = _reals(obj["hamiltonian_alpha"], (3,), "hamiltonian_alpha must be a finite 3-vector")
-    objs = [obj["opening"], *obj["segments"], obj["closing"]]
-    names = protocol._field_names(len(objs) - 2, "u_a", "u_b")
-    values = [pair[key] for pair in objs for key in ("u_a", "u_b")]
+    alpha = _reals(_field(obj, "hamiltonian_alpha", "protocol"), (3,), "hamiltonian_alpha must be a finite 3-vector")
+    segments = _field(obj, "segments", "protocol")
+    if not isinstance(segments, list):
+        raise ValidationError("segments must be a list")
+    objs = [_field(obj, "opening", "protocol"), *segments, _field(obj, "closing", "protocol")]
+    owners = ["opening", *(f"segment {i}" for i in range(len(segments))), "closing"]
+    values = [_field(pair, key, owner) for pair, owner in zip(objs, owners) for key in ("u_a", "u_b")]
+    names = protocol._field_names(len(segments), "u_a", "u_b")
     try:
         factors = _reals(values, (len(values), 2, 2, 2), "u_a and u_b must be 2x2 matrices of finite [re, im] pairs")
     except ValidationError:
@@ -167,17 +167,23 @@ def protocol_from_json(obj: dict) -> protocol.Protocol:
             _reals(value, (2, 2, 2), f"{name} must be a 2x2 matrix of finite [re, im] pairs")
         raise
     factors = _admitted_unitary(factors.view(complex).reshape(-1, 2, 2), names).reshape(-1, 2, 2, 2)
-    names = protocol._field_names(len(objs) - 2, "phase")
+    names = protocol._field_names(len(segments), "phase")
     opening, *locals_, closing = (
-        LocalUnitaryPair(u_a, u_b, _unit_phase_from(pair["phase"], name))
-        for (u_a, u_b), pair, name in zip(factors, objs, names)
+        LocalUnitaryPair(u_a, u_b, _unit_phase_from(_field(pair, "phase", owner), name))
+        for (u_a, u_b), pair, owner, name in zip(factors, objs, owners, names)
     )
+    durations = []
+    for seg, owner in zip(segments, owners[1:]):
+        try:
+            durations.append(float(_field(seg, "duration", owner)))
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"{owner} duration must be a number") from None
     return protocol.Protocol(
         opening=opening,
-        segments=tuple(protocol.Segment(pair, float(seg["duration"])) for pair, seg in zip(locals_, obj["segments"])),
+        segments=tuple(protocol.Segment(pair, t) for pair, t in zip(locals_, durations)),
         closing=closing,
         hamiltonian_alpha=alpha,
-        global_phase=_unit_phase_from(obj["global_phase"], "global_phase"),
+        global_phase=_unit_phase_from(_field(obj, "global_phase", "protocol"), "global_phase"),
     )
 
 
@@ -221,10 +227,16 @@ def _read_json(path: str, what: str):
         raise ValidationError(f"{what} is not valid JSON: {exc}") from None
 
 
-def _field(line: dict, key: str):
-    if key not in line:
-        raise ValidationError(f"{line['cmd']} needs a {key!r} field")
-    return line[key]
+def _field(obj: dict, key: str, owner: str | None = None):
+    """``obj[key]``; a missing key, or an ``obj`` that is no JSON object,
+    raises ``ValidationError`` naming ``owner`` (by default the command)."""
+    try:
+        return obj[key]
+    except (KeyError, TypeError):
+        owner = owner or obj["cmd"]
+        if not isinstance(obj, dict):
+            raise ValidationError(f"{owner} must be a JSON object") from None
+        raise ValidationError(f"{owner} needs {'an' if key[0] in 'aeio' else 'a'} {key!r} field") from None
 
 
 def _matrix_from_entries(entries, order: str) -> np.ndarray:
@@ -319,14 +331,14 @@ def _run_canon(line: dict, degrees: bool) -> dict:
     gate = _gate(line, "gate", degrees)
     kak = kak_decompose(gate) if line.get("full") else None
     alpha = interaction_content(gate) if kak is None else kak.alpha
-    out = {"alpha": _json_vector(alpha), "lambda": _json_vector(alpha_to_lambda(alpha))}
+    out = {"alpha": alpha, "lambda": alpha_to_lambda(alpha)}
     if kak is not None:
         out["kak"] = {
-            "post_local": _pair_to_json(kak.post_local),
-            "alpha": _json_vector(kak.alpha),
-            "pre_local": _pair_to_json(kak.pre_local),
-            "global_phase": _json_complex(kak.global_phase),
-            "reassembly_residual": _sig(float(np.max(np.abs(kak.matrix() - gate)))),
+            "post_local": _pair_layout(kak.post_local),
+            "alpha": kak.alpha,
+            "pre_local": _pair_layout(kak.pre_local),
+            "global_phase": kak.global_phase,
+            "reassembly_residual": np.max(np.abs(kak.matrix() - gate)),
         }
     return out
 
@@ -336,36 +348,23 @@ def _run_cost(line: dict, degrees: bool) -> dict:
     beta = interaction_content(_gate(line, "gate", degrees))
     report = cost.interaction_cost(beta, alpha)
     return {
-        "cost": None if report.infeasible else _sig(report.cost),
+        "cost": None if report.infeasible else report.cost,
         "infeasible": report.infeasible,
-        "branch": list(report.branch),
-        "beta_used": _json_vector(report.beta_used),
-        "beta": _json_vector(beta),
-        "alpha": _json_vector(alpha),
-    }
-
-
-def _verification_json(report: protocol.VerificationReport) -> dict:
-    return {
-        "max_abs_error_up_to_phase": _sig(report.max_abs_error_up_to_phase),
-        "content_error": _sig(report.content_error),
-        "total_time": _sig(report.total_time),
-        "passed": report.passed,
+        "branch": report.branch,
+        "beta_used": report.beta_used,
+        "beta": beta,
+        "alpha": alpha,
     }
 
 
 def _run_synth(line: dict, degrees: bool) -> dict:
     alpha, pair = _hamiltonian(line, degrees)
     p, report = protocol._synthesize(_gate(line, "gate", degrees), alpha)
-    out = {
-        "total_time": _sig(p.total_time),
-        "segments": len(p.segments),
-        "hamiltonian_alpha": _json_vector(alpha),
-        "verification": _verification_json(report),
-    }
+    out = {"total_time": p.total_time, "segments": len(p.segments), "hamiltonian_alpha": alpha}
+    out["verification"] = vars(report)
     if pair is not None:
-        out["coupling_conjugators"] = _pair_to_json(pair)
-    out["protocol"] = protocol_to_json(p)
+        out["coupling_conjugators"] = _pair_layout(pair)
+    out["protocol"] = _protocol_layout(p)
     return out
 
 
@@ -374,8 +373,7 @@ def _run_verify(line: dict, degrees: bool) -> dict:
         p = protocol_from_json(_field(line, "protocol"))
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
         raise ValidationError(f"cannot load protocol: {exc}") from None
-    report = protocol.verify(p, _gate(line, "gate", degrees), _tolerance(line, "tolerance", 1e-7))
-    return _verification_json(report)
+    return vars(protocol.verify(p, _gate(line, "gate", degrees), _tolerance(line, "tolerance", 1e-7)))
 
 
 def _run_classify(line: dict, degrees: bool) -> dict:
@@ -384,7 +382,7 @@ def _run_classify(line: dict, degrees: bool) -> dict:
     row = comm.capability_row(cls)
     return {
         "class": cls.value,
-        "beta": _json_vector(beta),
+        "beta": beta,
         "capabilities": sorted(task.value for task in comm.capabilities(cls)),
         "row": " ".join("✓" if ok else "×" for ok in row),
     }
@@ -394,23 +392,13 @@ def _run_commcost(line: dict, degrees: bool) -> dict:
     task = _field(line, "task")
     if task not in _TASKS:
         raise ValidationError(f"task must be one of {', '.join(_TASKS)}")
-    report = comm.task_cost(comm.CommTask(task), _hamiltonian(line, degrees)[0])
-    return {
-        "task": task,
-        "cost": _sig(report.cost),
-        "optimal_beta": _json_vector(report.optimal_beta),
-        "realizing_gate_hint": report.realizing_gate_hint,
-    }
+    return {"task": task, **vars(comm.task_cost(comm.CommTask(task), _hamiltonian(line, degrees)[0]))}
 
 
 def _run_order(line: dict, degrees: bool) -> dict:
     beta_u = interaction_content(_gate(line, "gate_u", degrees))
     beta_v = interaction_content(_gate(line, "gate_v", degrees))
-    return {
-        "verdict": cost.partial_order(beta_u, beta_v).value,
-        "beta_u": _json_vector(beta_u),
-        "beta_v": _json_vector(beta_v),
-    }
+    return {"verdict": cost.partial_order(beta_u, beta_v).value, "beta_u": beta_u, "beta_v": beta_v}
 
 
 _TASKS = [t.value for t in comm.CommTask]
@@ -426,14 +414,16 @@ _COMMANDS = {
 
 
 def _run(line, degrees: bool) -> dict:
-    """Runs one request: a batch line, or a subcommand's flags as
-    :func:`_request` writes them."""
+    """Runs one request, a batch line or a subcommand's flags as
+    :func:`_request` writes them, and returns its result as :func:`_plain`
+    data: the runners return library values, and this rounds each number
+    once."""
     if not isinstance(line, dict):
         raise ValidationError("a batch line must be a JSON object")
     cmd = line.get("cmd")
     if not isinstance(cmd, str) or cmd not in _COMMANDS:
         raise ValidationError(f"unknown command {cmd!r}")
-    return _COMMANDS[cmd](line, degrees)
+    return _plain(_COMMANDS[cmd](line, degrees))
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +547,7 @@ def main(argv: list[str] | None = None) -> int:
         if "alpha" in line:
             ordered = _hamiltonian(line, args.degrees)[0]
             if np.any(ordered != np.multiply(line["alpha"], _angle_scale(args.degrees))):
-                warning = f"alpha reordered to s-ordered form {_json_vector(ordered)}"
+                warning = f"alpha reordered to s-ordered form {_plain(ordered)}"
                 print(f"warning: {warning}", file=sys.stderr)
         result = _run(line, args.degrees)
         if args.command == "synth":

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .canonical import QUARTER_PI, canonical_reduce
+from .canonical import QUARTER_PI, _s_sort, canonical_reduce
 from .cost import interaction_cost
-from .errors import InfeasibleError
+from .errors import InfeasibleError, ValidationError
 
 
 class GateClass(enum.Enum):
@@ -94,8 +94,8 @@ def task_cost(task: CommTask, alpha: np.ndarray) -> TaskCostReport:
     bidirectional task short of a double qubit swap shares the optimum
     ``beta = pi/4 (1, 1, 2 a3/(a1+a2))``; swapping two qubits forces the full
     SWAP content.  The cost is :func:`gateforge.cost.interaction_cost` of the
-    optimal content, exact at every finite drift scale.  ``alpha`` must be
-    s-ordered with a positive leading component.
+    optimal content, exact at every finite drift scale.  ``alpha`` is taken
+    in its s-ordered form, which must have a positive leading component.
 
     Raises:
         ValidationError: if a drift component is infinite or NaN.
@@ -103,6 +103,9 @@ def task_cost(task: CommTask, alpha: np.ndarray) -> TaskCostReport:
             that the cost overflows.
     """
     a = np.asarray(alpha, dtype=float)
+    if not np.isfinite(a).all():  # before s-ordering moves a NaN out of the leading slot
+        raise ValidationError(f"drift {a.tolist()} is not finite")
+    a = _s_sort(a[None])[0][0]
     if a[0] <= 0.0:
         raise InfeasibleError("drift with no interaction cannot transmit anything")
 
@@ -112,9 +115,7 @@ def task_cost(task: CommTask, alpha: np.ndarray) -> TaskCostReport:
         beta, hint = np.full(3, QUARTER_PI), "SWAP"
     else:
         # cbit both ways, qubit one way, and qubit+cbit share one optimum.
-        # A non-finite drift gives a nan b; interaction_cost rejects it below.
-        with np.errstate(invalid="ignore"):
-            _, a2, a3 = a / a[0]
+        _, a2, a3 = a / a[0]
         b = a3 / (1.0 + a2)
         beta = canonical_reduce(np.array([QUARTER_PI, QUARTER_PI, 2 * b * QUARTER_PI]))
         hint = f"cbit-family(vartheta={QUARTER_PI * (1 - 2 * b):.12g})"

@@ -125,11 +125,15 @@ def interaction_cost(beta: np.ndarray, alpha: np.ndarray) -> CostReport:
 
     Takes the better of the two candidate shifts in one pass; ties (and two
     infinite costs) are reported as branch ``(0,0,0)`` for determinism.
-    ``beta`` should be canonical (as produced by
-    :func:`gateforge.canonical.interaction_content`) and ``alpha`` s-ordered.
-    Raises ``ValidationError`` if a drift component is infinite or NaN.
+    ``beta`` must be canonical (as produced by
+    :func:`gateforge.canonical.interaction_content`); ``alpha`` is taken in
+    its s-ordered form.  Raises ``ValidationError`` if a drift or content
+    component is infinite or NaN, else ``BetaOutOfRangeError`` if ``beta``
+    is not canonical.
     """
     costs, ordered = _min_times(np.asarray(beta, dtype=float) + _BRANCH_SHIFTS, alpha)
+    if not is_canonical(beta):
+        raise BetaOutOfRangeError(f"content {np.asarray(beta).tolist()} is not canonical")
     k = int(costs.argmin())
     return CostReport(cost=float(costs[k]), branch=_BRANCHES[k], beta_used=ordered[k])
 

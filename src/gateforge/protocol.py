@@ -167,7 +167,7 @@ def synthesize(target: np.ndarray, alpha: np.ndarray) -> Protocol:
 
     Raises:
         NonUnitaryError: if ``target`` is not unitary.
-        ValueError: if ``alpha`` is not s-ordered.
+        ValidationError: if ``alpha`` is not finite or not s-ordered.
         InfeasibleError: if ``alpha`` is local-only and the target is not.
         SynthesisResidualError: if the result fails its own verification at
             1e-7, which indicates an internal inconsistency.
@@ -178,8 +178,10 @@ def synthesize(target: np.ndarray, alpha: np.ndarray) -> Protocol:
 def _synthesize(target: np.ndarray, alpha: np.ndarray) -> tuple[Protocol, VerificationReport]:
     """:func:`synthesize`, also returning the report of its self-check."""
     alpha = np.asarray(alpha, dtype=float)
+    if not np.isfinite(alpha).all():
+        raise ValidationError(f"drift {alpha.tolist()} is not finite")
     if not is_s_ordered(alpha):
-        raise ValueError("drift coefficient vector must be s-ordered")
+        raise ValidationError(f"drift {alpha.tolist()} is not s-ordered")
     kak = kak_decompose(target)
     report = interaction_cost(kak.alpha, alpha)
     if report.infeasible:

@@ -252,3 +252,23 @@ def reference_protocol_to_json(p):
         "global_phase": _reference_complex(p.global_phase),
         "total_time": _reference_sig(p.total_time),
     }
+
+
+def reference_plain(value):
+    """JSON data of nested dicts, lists, tuples, numpy arrays and scalars,
+    each number rounded on its own, arrays walked entry by entry."""
+    if isinstance(value, dict):
+        return {key: reference_plain(v) for key, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return reference_plain(value[()]) if value.ndim == 0 else [reference_plain(v) for v in value]
+    if isinstance(value, (list, tuple)):
+        return [reference_plain(v) for v in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (complex, np.complexfloating)):
+        return _reference_complex(value)
+    if isinstance(value, (float, np.floating)):
+        return _reference_sig(float(value))
+    return value

@@ -11,6 +11,7 @@ from conftest import (
     random_su2,
     random_unitary,
     reference_polar,
+    reference_plain,
     reference_protocol_to_json,
 )
 from gateforge import gates
@@ -20,6 +21,7 @@ from gateforge.cli import (
     EXIT_RESIDUAL,
     EXIT_VALIDATION,
     _admitted_unitary,
+    _plain,
     _run,
     _sig,
     main,
@@ -711,6 +713,39 @@ def test_request_runner_answers_or_raises_a_typed_error(line, degrees):
 
 
 @pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p.pop("opening"), "protocol needs an 'opening' field"),
+        (lambda p: p.pop("hamiltonian_alpha"), "protocol needs a 'hamiltonian_alpha' field"),
+        (lambda p: p["segments"][0].pop("duration"), "segment 0 needs a 'duration' field"),
+        (lambda p: p["closing"].pop("u_a"), "closing needs a 'u_a' field"),
+        (lambda p: p["segments"][1].pop("phase"), "segment 1 needs a 'phase' field"),
+        (lambda p: p.update(segments=5), "segments must be a list"),
+        (lambda p: p["segments"].__setitem__(0, 3), "segment 0 must be a JSON object"),
+        (lambda p: p.update(global_phase=[1.0]), "global_phase must be a finite nonzero [re, im] pair"),
+        (lambda p: p["segments"][0].update(phase=None), "segment 0 phase must be a finite nonzero [re, im] pair"),
+        (lambda p: p["opening"].update(phase=["a", "b"]), "opening phase must be a finite nonzero [re, im] pair"),
+        (lambda p: p["segments"][1].update(duration=[0.1]), "segment 1 duration must be a number"),
+    ],
+)
+def test_missing_or_mistyped_protocol_field_is_named(edit, message):
+    # These used to answer "cannot load protocol: 'opening'", "... list index
+    # out of range", "... 'NoneType' object is not subscriptable" or "...
+    # Value after * must be an iterable, not int".
+    p = protocol_to_json(synthesize(gates.CNOT, _DRIFT))
+    assert len(p["segments"]) >= 2
+    edit(p)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        _run({"cmd": "verify", "gate": "CNOT", "protocol": p}, False)
+
+
+@pytest.mark.parametrize("value", [None, [], "p", 3])
+def test_a_protocol_that_is_no_object_is_named(value):
+    with pytest.raises(ValidationError, match="^protocol must be a JSON object$"):
+        _run({"cmd": "verify", "gate": "CNOT", "protocol": value}, False)
+
+
+@pytest.mark.parametrize(
     "edit",
     [
         lambda p: p["segments"][1]["u_b"][0].__setitem__(0, [float("nan"), 0.0]),
@@ -796,3 +831,108 @@ def test_protocol_to_json_is_byte_identical_to_per_scalar_rounding(gate, data):
         global_phase=complex(numbers[-2], numbers[-1]),
     )
     assert json.dumps(protocol_to_json(edited)) == json.dumps(reference_protocol_to_json(edited))
+
+
+_FLOATS = st.one_of(st.sampled_from(_EDGE_VALUES), _TIES, st.floats())
+_COMPLEXES = st.builds(complex, _FLOATS, _FLOATS)
+_LEAVES = st.one_of(
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    _COMPLEXES,
+    _COMPLEXES.map(np.complex128),
+    st.lists(_FLOATS, min_size=1, max_size=6).map(np.array),
+    st.lists(_COMPLEXES, min_size=4, max_size=4).map(lambda zs: np.array(zs).reshape(2, 2)),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.recursive(
+        _LEAVES,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        ),
+        max_leaves=24,
+    )
+)
+def test_plain_rounds_each_number_as_the_per_scalar_reference(value):
+    # Bools stay true/false and ints stay ints: only floats are rounded.
+    assert json.dumps(_plain(value)) == json.dumps(reference_plain(value))
+
+
+F, I, B, S = "float", "int", "bool", "str"
+_C = [F, F]
+_PAIR = {"u_a": [[_C, _C], [_C, _C]], "u_b": [[_C, _C], [_C, _C]], "phase": _C}
+_VERIFICATION = {"max_abs_error_up_to_phase": F, "content_error": F, "total_time": F, "passed": B}
+
+
+def _shape(value):
+    """The JSON types of a result, in its key order."""
+    if isinstance(value, dict):
+        return {key: _shape(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_shape(v) for v in value]
+    return {float: F, int: I, bool: B, str: S, type(None): None}[type(value)]
+
+
+def _synth_shape(n):
+    protocol = {
+        "hamiltonian_alpha": [F] * 3,
+        "opening": _PAIR,
+        "segments": [{**_PAIR, "duration": F}] * n,
+        "closing": _PAIR,
+        "global_phase": _C,
+        "total_time": F,
+    }
+    return {
+        "total_time": F,
+        "segments": I,
+        "hamiltonian_alpha": [F] * 3,
+        "verification": _VERIFICATION,
+        "coupling_conjugators": _PAIR,
+        "protocol": protocol,
+    }
+
+
+def test_each_command_result_has_its_key_order_and_json_types():
+    coupling = [[1, 0.2, 0], [0.1, 0.6, 0], [0, 0, -0.3]]
+    cases = [
+        ({"cmd": "canon", "gate": "CNOT"}, {"alpha": [F] * 3, "lambda": [F] * 4}),
+        (
+            {"cmd": "canon", "gate": "SWAP", "full": True},
+            {
+                "alpha": [F] * 3,
+                "lambda": [F] * 4,
+                "kak": {"post_local": _PAIR, "alpha": [F] * 3, "pre_local": _PAIR, "global_phase": _C,
+                        "reassembly_residual": F},
+            },
+        ),
+        *(
+            (
+                {"cmd": "cost", "gate": "CNOT", "alpha": alpha},
+                {"cost": cost, "infeasible": B, "branch": [I] * 3, "beta_used": [F] * 3, "beta": [F] * 3,
+                 "alpha": [F] * 3},
+            )
+            for alpha, cost in (([1, 0.5, 0.2], F), ([0, 0, 0], None))
+        ),
+        ({"cmd": "synth", "gate": "CNOT", "coupling": coupling}, None),
+        ({"cmd": "classify", "gate": "DCNOT"}, {"class": S, "beta": [F] * 3, "capabilities": [S] * 4, "row": S}),
+        (
+            {"cmd": "commcost", "task": "cbit-both-ways", "alpha": [1, 1, 1]},
+            {"task": S, "cost": F, "optimal_beta": [F] * 3, "realizing_gate_hint": S},
+        ),
+        ({"cmd": "order", "gate_u": "CNOT", "gate_v": "SWAP"}, {"verdict": S, "beta_u": [F] * 3, "beta_v": [F] * 3}),
+    ]
+    for line, expected in cases:
+        result = _run(line, False)
+        if line["cmd"] == "synth":
+            expected = _synth_shape(result["segments"])
+            verify = _run({"cmd": "verify", "gate": "CNOT", "protocol": result["protocol"]}, False)
+            assert json.dumps(_shape(verify)) == json.dumps(_VERIFICATION)
+        assert json.dumps(_shape(result)) == json.dumps(expected), line

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -78,6 +80,35 @@ def test_task_cost_requires_interaction():
     for task in CommTask:
         with pytest.raises(InfeasibleError, match="finite time"):
             task_cost(task, np.array([1e-320, 0.0, 0.0]))
+
+
+def _even_signed_permutations(alpha):
+    """Every permutation of ``alpha`` with an even number of signs flipped:
+    the drifts locally equivalent to it."""
+    flips = [(1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1)]
+    return [np.array(flip) * alpha[list(perm)] for perm in itertools.permutations(range(3)) for flip in flips]
+
+
+def test_task_cost_of_a_drift_out_of_s_order():
+    # task_cost(CBIT_A_TO_B, [0, 1, 0]) used to raise "drift with no
+    # interaction", and CBIT_BOTH_WAYS under [0.5, -1, -0.3] cost 1.2217
+    # instead of the 1.0472 of its s-ordered form (1, 0.5, 0.3).
+    assert task_cost(CommTask.CBIT_A_TO_B, np.array([0.0, 1.0, 0.0])).cost == pytest.approx(QUARTER_PI)
+    report = task_cost(CommTask.CBIT_BOTH_WAYS, np.array([0.5, -1.0, -0.3]))
+    assert report.cost == pytest.approx(np.pi / 3)
+    assert report.optimal_beta[2] == pytest.approx(0.1 * np.pi)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_task_cost_is_the_same_for_locally_equivalent_drifts(seed):
+    alpha = random_s_ordered_alpha(np.random.default_rng(seed))
+    for task in CommTask:
+        expected = task_cost(task, alpha)
+        for drift in _even_signed_permutations(alpha):
+            report = task_cost(task, drift)
+            assert report.cost == expected.cost
+            assert np.array_equal(report.optimal_beta, expected.optimal_beta)
 
 
 def test_task_cost_consistent_with_interaction_cost():

@@ -301,6 +301,15 @@ def test_costs_reject_a_non_finite_drift(alpha):
     assert all(0 < cost(np.full(3, 1e308)) < math.inf for cost in _COSTS)
 
 
+def test_interaction_cost_rejects_a_non_canonical_content():
+    # (3, 0, 0) used to cost 1.429 under the Ising drift; its canonical form
+    # (pi - 3, 0, 0) costs 0.1416.
+    with pytest.raises(BetaOutOfRangeError, match=r"content \[3.0, 0.0, 0.0\] is not canonical"):
+        interaction_cost(np.array([3.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+    canonical = interaction_cost(np.array([math.pi - 3, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+    assert canonical.cost == pytest.approx(math.pi - 3)
+
+
 # ---------------------------------------------------------------------------
 # Feasibility is the cost read at a time
 

@@ -165,8 +165,16 @@ def test_synthesize_self_check_report_is_verify_report():
 
 
 def test_synthesize_requires_s_ordered_alpha():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match=r"drift \[0.0, 1.0, 0.0\] is not s-ordered"):
         synthesize(gates.CNOT, np.array([0.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("alpha", [[np.inf, 0, 0], [np.nan, 0, 0], [1, 0.5, -np.inf]])
+def test_synthesize_rejects_a_non_finite_drift(alpha):
+    # These used to raise a bare "must be s-ordered" ValueError, inf also
+    # with a RuntimeWarning from the s-order check.
+    with pytest.raises(ValidationError, match=r"drift \[.*\] is not finite"):
+        synthesize(gates.CNOT, np.array(alpha, dtype=float))
 
 
 def test_synthesize_infeasible_for_local_drift():
