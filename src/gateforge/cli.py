@@ -2,11 +2,28 @@
 ``batch``, and JSON serialization of gates, protocols and reports.
 
 Every subcommand builds the same request object that a ``batch`` line
-carries (``_request``: one flag, one field), and one runner (``_run``)
-validates and answers both.  The command runners return library values;
-``_run`` turns each result into JSON data in one pass (``_plain``), which
-rounds every number once.  Only writing ``synth``'s protocol to ``--out``,
-alpha-reorder warnings and exit codes belong to the subcommands.
+carries (``_request``: one flag, one field), and one chunk runner answers
+both: ``batch`` runs its input in chunks of up to 32 lines, a subcommand
+(and ``_run``) is a chunk of one.  Each chunk starts with one pre-pass
+(``_prepare``): it parses every line, resolves every gate field, admits and
+projects all matrix gates as one stack, and takes the interaction contents
+that ``canon`` (without ``full``), ``cost``, ``classify`` and ``order``
+need from one stacked content call.  If a stacked call raises, each gate is
+redone alone, so that its error names no stack row.  A field that failed
+keeps its exception, which the command runner raises when it reaches that
+field, so each line answers or fails exactly as it would alone.  The
+command runners return library values; each result becomes JSON data in
+one pass (``_plain``), which rounds every number once.  Only writing
+``synth``'s protocol to ``--out``, alpha-reorder warnings and exit codes
+belong to the subcommands.
+
+``batch`` reads its input as bytes and decodes each line on its own, so an
+undecodable line gets an error line and the others their answers.  A chunk
+closes at 32 lines, at the end of the input, or when the next read would
+block, so a producer on stdin gets each answer once its line has arrived.
+Answers are written in input order, each as soon as it is done, and stdout
+is flushed after each chunk.  An error line is ``{"ok": false, "error":
+..., "error_type": ...}``, the type being the exception's class name.
 
 External formats
 ----------------
@@ -34,6 +51,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import select
 import sys
 
 import numpy as np
@@ -155,10 +174,16 @@ def protocol_from_json(obj: dict) -> protocol.Protocol:
     segments = _field(obj, "segments", "protocol")
     if not isinstance(segments, list):
         raise ValidationError("segments must be a list")
+    n = len(segments)
     objs = [_field(obj, "opening", "protocol"), *segments, _field(obj, "closing", "protocol")]
-    owners = ["opening", *(f"segment {i}" for i in range(len(segments))), "closing"]
-    values = [_field(pair, key, owner) for pair, owner in zip(objs, owners) for key in ("u_a", "u_b")]
-    names = protocol._field_names(len(segments), "u_a", "u_b")
+    # Each section indexes its fields directly; only on a KeyError or a
+    # TypeError does it walk them again through _field, which names the
+    # field at fault in the order of the walk.
+    try:
+        values = [pair[key] for pair in objs for key in ("u_a", "u_b")]
+    except (KeyError, TypeError):
+        values = [_field(pair, key, owner) for pair, owner in zip(objs, _pair_owners(n)) for key in ("u_a", "u_b")]
+    names = protocol._field_names(n, "u_a", "u_b")
     try:
         factors = _reals(values, (len(values), 2, 2, 2), "u_a and u_b must be 2x2 matrices of finite [re, im] pairs")
     except ValidationError:
@@ -167,17 +192,24 @@ def protocol_from_json(obj: dict) -> protocol.Protocol:
             _reals(value, (2, 2, 2), f"{name} must be a 2x2 matrix of finite [re, im] pairs")
         raise
     factors = _admitted_unitary(factors.view(complex).reshape(-1, 2, 2), names).reshape(-1, 2, 2, 2)
-    names = protocol._field_names(len(segments), "phase")
-    opening, *locals_, closing = (
-        LocalUnitaryPair(u_a, u_b, _unit_phase_from(_field(pair, "phase", owner), name))
-        for (u_a, u_b), pair, owner, name in zip(factors, objs, owners, names)
-    )
-    durations = []
-    for seg, owner in zip(segments, owners[1:]):
-        try:
-            durations.append(float(_field(seg, "duration", owner)))
-        except (TypeError, ValueError, OverflowError):
-            raise ValidationError(f"{owner} duration must be a number") from None
+    names = protocol._field_names(n, "phase")
+    try:
+        phases = [_unit_phase_from(pair["phase"], name) for pair, name in zip(objs, names)]
+    except (KeyError, TypeError):
+        phases = [
+            _unit_phase_from(_field(pair, "phase", owner), name)
+            for pair, owner, name in zip(objs, _pair_owners(n), names)
+        ]
+    opening, *locals_, closing = (LocalUnitaryPair(u_a, u_b, phase) for (u_a, u_b), phase in zip(factors, phases))
+    try:
+        durations = [float(seg["duration"]) for seg in segments]
+    except (KeyError, TypeError, ValueError, OverflowError):
+        durations = []
+        for seg, owner in zip(segments, _pair_owners(n)[1:]):
+            try:
+                durations.append(float(_field(seg, "duration", owner)))
+            except (TypeError, ValueError, OverflowError):
+                raise ValidationError(f"{owner} duration must be a number") from None
     return protocol.Protocol(
         opening=opening,
         segments=tuple(protocol.Segment(pair, t) for pair, t in zip(locals_, durations)),
@@ -185,6 +217,12 @@ def protocol_from_json(obj: dict) -> protocol.Protocol:
         hamiltonian_alpha=alpha,
         global_phase=_unit_phase_from(_field(obj, "global_phase", "protocol"), "global_phase"),
     )
+
+
+def _pair_owners(segments: int) -> list[str]:
+    """The names of a protocol's local pairs: ``opening``, ``segment i``
+    and ``closing``."""
+    return ["opening", *(f"segment {i}" for i in range(segments)), "closing"]
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +278,16 @@ def _field(obj: dict, key: str, owner: str | None = None):
 
 
 def _matrix_from_entries(entries, order: str) -> np.ndarray:
-    """Loads a 4x4 gate by :func:`_admitted_unitary`, so that matrices
-    rounded to this module's own 10-digit output meet the library's
-    STRUCTURAL tier."""
+    """The 4x4 matrix of 16 ``[re, im]`` entries in basis ``order``, still
+    to be admitted by :func:`_admitted_unitary`, so that matrices rounded to
+    this module's own 10-digit output meet the library's STRUCTURAL tier."""
     pairs = _reals(entries, (16, 2), "matrix must be 16 finite [re, im] pairs")
     m = pairs.view(complex).reshape(4, 4)  # each [re, im] row is one complex
     if order == "reversed":
         m = m[::-1, ::-1]
     elif order != "standard":
         raise ValidationError(f"unknown basis order {order!r}")
-    return _admitted_unitary(m)
+    return m
 
 
 def _matrix_file(path: str, order: str | None = None) -> dict:
@@ -261,8 +299,9 @@ def _matrix_file(path: str, order: str | None = None) -> dict:
     return {"matrix": data.get("matrix"), "order": order or data.get("order", "standard")}
 
 
-def _gate(line: dict, key: str, degrees: bool) -> np.ndarray:
-    """Resolves the gate in field ``key``.
+def _gate(line: dict, key: str, degrees: bool) -> tuple[np.ndarray, bool]:
+    """Resolves the gate in field ``key``, and tells whether it is a matrix
+    still to be admitted by :func:`_admitted_unitary`.
 
     A gate is an object with one of ``named``, ``controlled_u`` (beta),
     ``family`` ([eta, theta, omega]) or ``matrix`` (16 ``[re, im]`` entries,
@@ -287,15 +326,15 @@ def _gate(line: dict, key: str, degrees: bool) -> np.ndarray:
     if "named" in spec:
         if not isinstance(spec["named"], str):
             raise ValidationError("named must be a gate name string")
-        return gates.named_gate(spec["named"])
+        return gates.named_gate(spec["named"]), False
     if "controlled_u" in spec:
         beta = _reals(spec["controlled_u"], (), "controlled_u must be a finite number")
-        return gates.named_gate("CONTROLLED_U", beta=float(beta) * scale)
+        return gates.named_gate("CONTROLLED_U", beta=float(beta) * scale), False
     if "family" in spec:
         eta, theta, omega = _reals(spec["family"], (3,), "family must be 3 finite angles") * scale
-        return comm.family_gate(eta, theta, omega)
+        return comm.family_gate(eta, theta, omega), False
     if "matrix" in spec:
-        return _matrix_from_entries(spec["matrix"], spec.get("order", "standard"))
+        return _matrix_from_entries(spec["matrix"], spec.get("order", "standard")), True
     raise ValidationError(f"{key} needs one of 'named', 'controlled_u', 'family' or 'matrix'")
 
 
@@ -324,13 +363,127 @@ def _tolerance(line: dict, key: str, default: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Commands: each runs one request object and returns its result object.
+# Chunks: one pre-pass per chunk of requests, then one runner per request.
 # ---------------------------------------------------------------------------
 
-def _run_canon(line: dict, degrees: bool) -> dict:
-    gate = _gate(line, "gate", degrees)
-    kak = kak_decompose(gate) if line.get("full") else None
-    alpha = interaction_content(gate) if kak is None else kak.alpha
+#: Lines of ``batch`` input that share one pre-pass.
+_CHUNK_LINES = 32
+#: The errors that give a request an error line; anything else is a bug.
+_LINE_ERRORS = (GateforgeError, ValueError, KeyError, TypeError)
+
+
+def _raised(value):
+    """``value``, unless it is an exception: that is raised."""
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+class _Request:
+    """A request (the parsed line, or the exception its decoding or parse
+    raised) and what its chunk's pre-pass found for it: the gate of each
+    gate field and, where its command needs it, the gate's interaction
+    content.  A field that failed holds its exception, raised when the
+    command runner reaches that field."""
+
+    __slots__ = ("line", "degrees", "gates", "contents")
+
+    def __init__(self, line, degrees: bool) -> None:
+        self.line = line
+        self.degrees = degrees
+        self.gates: dict = {}
+        self.contents: dict = {}
+
+    def gate(self, key: str) -> np.ndarray:
+        return _raised(self.gates[key])
+
+    def content(self, key: str) -> np.ndarray:
+        self.gate(key)
+        return _raised(self.contents[key])
+
+
+def _each(f, items: list) -> list:
+    """``f`` of each of ``items`` (4x4 matrices), from one call on their
+    stack.  If that call raises, each item is redone alone and gives its
+    value or the exception it raised, whose text then names no stack row."""
+    if not items:
+        return []
+    try:
+        return list(f(np.stack(items)))
+    except Exception:
+        values = []
+        for item in items:
+            try:
+                values.append(f(item))
+            except Exception as exc:
+                values.append(exc)
+        return values
+
+
+def _prepare(lines: list, degrees: bool) -> list[_Request]:
+    """The pre-pass of a chunk of ``lines`` (parsed requests, or the
+    exceptions their parse raised): resolves every gate field of the
+    commands in ``_GATE_FIELDS``, admits and projects all matrix gates as
+    one stack, and takes the contents that ``canon`` (without ``full``),
+    ``cost``, ``classify`` and ``order`` need from one stacked
+    :func:`interaction_content` call."""
+    requests = [_Request(line, degrees) for line in lines]
+    admit, needed = [], []
+    for req in requests:
+        cmd = req.line.get("cmd") if isinstance(req.line, dict) else None
+        if not isinstance(cmd, str) or cmd not in _GATE_FIELDS:
+            continue
+        for key in _GATE_FIELDS[cmd]:
+            try:
+                req.gates[key], raw = _gate(req.line, key, degrees)
+            except Exception as exc:
+                req.gates[key] = exc
+                continue
+            if raw:
+                admit.append((req, key))
+        if cmd in _CONTENT_COMMANDS and not (cmd == "canon" and req.line.get("full")):
+            needed += [(req, key) for key in _GATE_FIELDS[cmd]]
+    for (req, key), gate in zip(admit, _each(_admitted_unitary, [req.gates[key] for req, key in admit])):
+        req.gates[key] = gate
+    needed = [(req, key) for req, key in needed if not isinstance(req.gates[key], Exception)]
+    for (req, key), beta in zip(needed, _each(interaction_content, [req.gates[key] for req, key in needed])):
+        req.contents[key] = beta
+    return requests
+
+
+def _answers(requests: list[_Request]):
+    """Runs each prepared request in turn and yields its result as
+    :func:`_plain` data, or the exception it raised."""
+    for req in requests:
+        try:
+            line = _raised(req.line)
+            if not isinstance(line, dict):
+                raise ValidationError("a batch line must be a JSON object")
+            cmd = line.get("cmd")
+            if not isinstance(cmd, str) or cmd not in _COMMANDS:
+                raise ValidationError(f"unknown command {cmd!r}")
+            yield _plain(_COMMANDS[cmd](req))
+        except _LINE_ERRORS as exc:
+            yield exc
+
+
+def _run(line, degrees: bool) -> dict:
+    """Runs one request, a batch line or a subcommand's flags as
+    :func:`_request` writes them, as a chunk of one and returns its result
+    as :func:`_plain` data: the runners return library values, and this
+    rounds each number once."""
+    (answer,) = _answers(_prepare([line], degrees))
+    return _raised(answer)
+
+
+# ---------------------------------------------------------------------------
+# Commands: each runs one prepared request and returns its result object.
+# ---------------------------------------------------------------------------
+
+def _run_canon(req: _Request) -> dict:
+    gate = req.gate("gate")
+    kak = kak_decompose(gate) if req.line.get("full") else None
+    alpha = req.content("gate") if kak is None else kak.alpha
     out = {"alpha": alpha, "lambda": alpha_to_lambda(alpha)}
     if kak is not None:
         out["kak"] = {
@@ -343,9 +496,9 @@ def _run_canon(line: dict, degrees: bool) -> dict:
     return out
 
 
-def _run_cost(line: dict, degrees: bool) -> dict:
-    alpha = _hamiltonian(line, degrees)[0]
-    beta = interaction_content(_gate(line, "gate", degrees))
+def _run_cost(req: _Request) -> dict:
+    alpha = _hamiltonian(req.line, req.degrees)[0]
+    beta = req.content("gate")
     report = cost.interaction_cost(beta, alpha)
     return {
         "cost": None if report.infeasible else report.cost,
@@ -357,9 +510,9 @@ def _run_cost(line: dict, degrees: bool) -> dict:
     }
 
 
-def _run_synth(line: dict, degrees: bool) -> dict:
-    alpha, pair = _hamiltonian(line, degrees)
-    p, report = protocol._synthesize(_gate(line, "gate", degrees), alpha)
+def _run_synth(req: _Request) -> dict:
+    alpha, pair = _hamiltonian(req.line, req.degrees)
+    p, report = protocol._synthesize(req.gate("gate"), alpha)
     out = {"total_time": p.total_time, "segments": len(p.segments), "hamiltonian_alpha": alpha}
     out["verification"] = vars(report)
     if pair is not None:
@@ -368,17 +521,17 @@ def _run_synth(line: dict, degrees: bool) -> dict:
     return out
 
 
-def _run_verify(line: dict, degrees: bool) -> dict:
+def _run_verify(req: _Request) -> dict:
     try:
-        p = protocol_from_json(_field(line, "protocol"))
+        p = protocol_from_json(_field(req.line, "protocol"))
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
         raise ValidationError(f"cannot load protocol: {exc}") from None
-    return vars(protocol.verify(p, _gate(line, "gate", degrees), _tolerance(line, "tolerance", 1e-7)))
+    return vars(protocol.verify(p, req.gate("gate"), _tolerance(req.line, "tolerance", 1e-7)))
 
 
-def _run_classify(line: dict, degrees: bool) -> dict:
-    beta = interaction_content(_gate(line, "gate", degrees))
-    cls = comm.classify(beta, atol=_tolerance(line, "class_tol", tolerances.BOUNDARY))
+def _run_classify(req: _Request) -> dict:
+    beta = req.content("gate")
+    cls = comm.classify(beta, atol=_tolerance(req.line, "class_tol", tolerances.BOUNDARY))
     row = comm.capability_row(cls)
     return {
         "class": cls.value,
@@ -388,16 +541,16 @@ def _run_classify(line: dict, degrees: bool) -> dict:
     }
 
 
-def _run_commcost(line: dict, degrees: bool) -> dict:
-    task = _field(line, "task")
+def _run_commcost(req: _Request) -> dict:
+    task = _field(req.line, "task")
     if task not in _TASKS:
         raise ValidationError(f"task must be one of {', '.join(_TASKS)}")
-    return {"task": task, **vars(comm.task_cost(comm.CommTask(task), _hamiltonian(line, degrees)[0]))}
+    return {"task": task, **vars(comm.task_cost(comm.CommTask(task), _hamiltonian(req.line, req.degrees)[0]))}
 
 
-def _run_order(line: dict, degrees: bool) -> dict:
-    beta_u = interaction_content(_gate(line, "gate_u", degrees))
-    beta_v = interaction_content(_gate(line, "gate_v", degrees))
+def _run_order(req: _Request) -> dict:
+    beta_u = req.content("gate_u")
+    beta_v = req.content("gate_v")
     return {"verdict": cost.partial_order(beta_u, beta_v).value, "beta_u": beta_u, "beta_v": beta_v}
 
 
@@ -411,19 +564,18 @@ _COMMANDS = {
     "commcost": _run_commcost,
     "order": _run_order,
 }
-
-
-def _run(line, degrees: bool) -> dict:
-    """Runs one request, a batch line or a subcommand's flags as
-    :func:`_request` writes them, and returns its result as :func:`_plain`
-    data: the runners return library values, and this rounds each number
-    once."""
-    if not isinstance(line, dict):
-        raise ValidationError("a batch line must be a JSON object")
-    cmd = line.get("cmd")
-    if not isinstance(cmd, str) or cmd not in _COMMANDS:
-        raise ValidationError(f"unknown command {cmd!r}")
-    return _plain(_COMMANDS[cmd](line, degrees))
+#: The gate fields each command reads, resolved by the pre-pass.
+_GATE_FIELDS = {
+    "canon": ("gate",),
+    "cost": ("gate",),
+    "synth": ("gate",),
+    "verify": ("gate",),
+    "classify": ("gate",),
+    "order": ("gate_u", "gate_v"),
+}
+#: The commands whose gates' contents the pre-pass takes (``canon`` only
+#: without ``full``, which takes its content from ``kak_decompose``).
+_CONTENT_COMMANDS = ("canon", "cost", "classify", "order")
 
 
 # ---------------------------------------------------------------------------
@@ -517,24 +669,60 @@ def _request(args: argparse.Namespace) -> dict:
     return line
 
 
+def _chunks(fd: int):
+    """The non-blank lines read from ``fd``, as bytes, in chunks of at most
+    ``_CHUNK_LINES``.  A chunk closes at that size, at the end of the input,
+    or when the next read would block.  ``\\n``, ``\\r`` and ``\\r\\n``
+    each end a line, as in text mode."""
+    lines: list[bytes] = []
+    partial = b""
+    eof = False
+    while lines or not eof:
+        while len(lines) < _CHUNK_LINES and not eof:
+            if lines and not select.select([fd], [], [], 0)[0]:
+                break  # the next read would block
+            data = os.read(fd, 1 << 16)
+            if data:
+                *complete, partial = (partial + data).replace(b"\r", b"\n").split(b"\n")
+            else:
+                eof, complete = True, [partial]
+            lines += [line for line in complete if line.strip()]
+        chunk, lines = lines[:_CHUNK_LINES], lines[_CHUNK_LINES:]
+        if chunk:
+            yield chunk
+
+
+def _parsed(chunk: list[bytes]) -> list:
+    """Each line of ``chunk`` decoded on its own and parsed as JSON, or the
+    exception that raised; lines blank after decoding are dropped."""
+    lines = []
+    for raw in chunk:
+        try:
+            text = raw.decode("utf-8").strip()
+            if text:
+                lines.append(json.loads(text))
+        except ValueError as exc:  # also undecodable bytes
+            lines.append(exc)
+    return lines
+
+
 def _run_batch(args) -> int:
-    if args.input == "-":
-        lines = sys.stdin.readlines()
-    else:
-        try:
-            with open(args.input, encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError as exc:
-            raise ValidationError(f"cannot read batch file: {exc}") from None
-    for text in lines:
-        text = text.strip()
-        if not text:
-            continue
-        try:
-            out = {"ok": True, "result": _run(json.loads(text), args.degrees)}
-        except (GateforgeError, ValueError, KeyError, TypeError) as exc:
-            out = {"ok": False, "error": str(exc)}
-        print(json.dumps(out))
+    try:
+        fh = sys.stdin if args.input == "-" else open(args.input, "rb")
+    except OSError as exc:
+        raise ValidationError(f"cannot read batch file: {exc}") from None
+    try:
+        for chunk in _chunks(fh.fileno()):
+            for answer in _answers(_prepare(_parsed(chunk), args.degrees)):
+                if isinstance(answer, Exception):
+                    out = {"ok": False, "error": str(answer), "error_type": type(answer).__name__}
+                else:
+                    out = {"ok": True, "result": answer}
+                print(json.dumps(out))
+            sys.stdout.flush()
+    finally:
+        if fh is not sys.stdin:
+            fh.close()
     return EXIT_OK
 
 

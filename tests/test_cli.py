@@ -389,7 +389,8 @@ def test_ragged_coupling_is_a_validation_error(capsys, tmp_path):
         assert code == EXIT_VALIDATION
         assert json.loads(err)["error"] == "coupling must be a finite 3x3 real matrix"
     (result,) = run_batch(capsys, tmp_path, [{"cmd": "cost", "gate": "CNOT", "coupling": ragged}])
-    assert result == {"ok": False, "error": "coupling must be a finite 3x3 real matrix"}
+    message = "coupling must be a finite 3x3 real matrix"
+    assert result == {"ok": False, "error": message, "error_type": "ValidationError"}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
@@ -440,7 +441,7 @@ def test_batch_verify_of_a_negative_duration_names_the_segment(capsys, tmp_path)
     assert len(p["segments"]) >= 2
     p["segments"][1]["duration"] = -0.1
     [out] = run_batch(capsys, tmp_path, [{"cmd": "verify", "gate": "CNOT", "protocol": p}])
-    assert out == {"ok": False, "error": "segment 1 duration -0.1 is negative"}
+    assert out == {"ok": False, "error": "segment 1 duration -0.1 is negative", "error_type": "NegativeDurationError"}
 
 
 @pytest.mark.parametrize(
@@ -575,7 +576,7 @@ def test_batch_verify_of_an_all_zero_factor_is_an_error_line(capsys, tmp_path):
     p = protocol_to_json(synthesize(gates.CNOT, np.array([1.0, 0.6, -0.3])))
     p["opening"]["u_a"] = [[[0.0, 0.0]] * 2] * 2
     [out] = run_batch(capsys, tmp_path, [{"cmd": "verify", "gate": "CNOT", "protocol": p}])
-    assert out == {"ok": False, "error": "opening u_a is not unitary within 1e-08"}
+    assert out == {"ok": False, "error": "opening u_a is not unitary within 1e-08", "error_type": "NonUnitaryError"}
 
 
 def test_overflowing_drift_is_a_validation_error():
@@ -763,7 +764,7 @@ def test_malformed_factor_names_its_field(capsys, tmp_path, edit):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         protocol_from_json(p)
     [out] = run_batch(capsys, tmp_path, [{"cmd": "verify", "gate": "CNOT", "protocol": p}])
-    assert out == {"ok": False, "error": message}
+    assert out == {"ok": False, "error": message, "error_type": "ValidationError"}
 
 
 def _unitaries(rng, n):
