@@ -20,9 +20,12 @@ import numpy as np
 from . import tolerances as tol
 from .errors import BranchResolutionError, NotTracelessError, ValidationError
 from .linalg import (
+    MAGIC,
     PAULIS,
     PAULI_PAIRS,
     LocalUnitaryPair,
+    _MAGIC_DAG,
+    _kron2,
     _row_label,
     drift_exponential,
     from_magic,
@@ -65,8 +68,7 @@ def lambda_to_alpha(lam: np.ndarray, atol: float = tol.BOUNDARY) -> np.ndarray:
 
 def _lambda_to_alpha_unchecked(lam: np.ndarray) -> np.ndarray:
     """:func:`lambda_to_alpha` of a 4-vector or of each row of ``(n, 4)``."""
-    lam = lam.T
-    return np.stack([(lam[0] + lam[1]) / 2, (lam[0] + lam[2]) / 2, (lam[1] + lam[2]) / 2], axis=-1)
+    return (lam[..., [0, 0, 1]] + lam[..., [1, 2, 2]]) / 2
 
 
 class SOrderMove(NamedTuple):
@@ -106,13 +108,15 @@ def _s_sort(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, perm
 
 
-def _s_move(a: np.ndarray, out: np.ndarray, perm: np.ndarray) -> SOrderMove:
-    """The record of the s-ordering ``out`` of the 3-vector ``a`` by ``perm``."""
-    signs = np.where((a[perm] < 0) != (out < 0), -1, 1)
-    if signs.prod() < 0:
+def _s_moves(a: np.ndarray, out: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """The signs of the moves taking each row of ``a`` (n, 3) to its
+    s-ordering ``out`` by ``perm``: ``out[:, i] = signs[:, i] * a[:, perm[:, i]]``."""
+    signs = np.where((a[np.arange(len(a))[:, None], perm] < 0) != (out < 0), -1, 1)
+    odd = signs.prod(axis=1) < 0
+    if odd.any():
         # Parity must be even to be a local move; flip the sign on a zero slot.
-        signs[np.argmax(out == 0.0)] = -1
-    return SOrderMove(tuple(perm.tolist()), tuple(signs.tolist()))
+        signs[odd, np.argmax(out[odd] == 0.0, axis=1)] = -1
+    return signs
 
 
 def s_order(a: np.ndarray) -> tuple[np.ndarray, SOrderMove]:
@@ -121,9 +125,10 @@ def s_order(a: np.ndarray) -> tuple[np.ndarray, SOrderMove]:
 
     Returns the s-ordered vector and the move that produced it.
     """
-    a = np.asarray(a, dtype=float)
-    out, perm = _s_sort(a[None])
-    return out[0], _s_move(a, out[0], perm[0])
+    a = np.asarray(a, dtype=float)[None]
+    out, perm = _s_sort(a)
+    signs = _s_moves(a, out, perm)
+    return out[0], SOrderMove(tuple(perm[0].tolist()), tuple(signs[0].tolist()))
 
 
 def is_s_ordered(a: np.ndarray, atol: float = tol.BOUNDARY) -> bool:
@@ -225,19 +230,31 @@ def _local_gate_of_lambda_perm(perm: tuple[int, ...]) -> np.ndarray:
     return w
 
 
-def _shift_factor(n: np.ndarray) -> np.ndarray:
-    """The commuting local factor splitting off a pi/2 shift of alpha:
-    ``E(a) = E(a - (pi/2) n) @ _shift_factor(n)``.
+@functools.lru_cache(maxsize=None)
+def _shift_factor(n: tuple[int, int, int]) -> np.ndarray:
+    """The commuting local factor splitting off a pi/2 shift of alpha by the
+    integers ``n``: ``E(a) = E(a - (pi/2) n) @ _shift_factor(n)``.
 
-    Built from ``exp(-i (pi/2) sigma_k x sigma_k) = -i sigma_k x sigma_k``.
+    Built from ``exp(-i (pi/2) sigma_k x sigma_k) = -i sigma_k x sigma_k``;
+    cached by ``n``, so the result is read-only.
     """
     f = np.eye(4, dtype=complex)
     for k in range(3):
-        steps = int(n[k])
-        base = -1j * PAULI_PAIRS[k] if steps > 0 else 1j * PAULI_PAIRS[k]
-        for _ in range(abs(steps)):
+        base = -1j * PAULI_PAIRS[k] if n[k] > 0 else 1j * PAULI_PAIRS[k]
+        for _ in range(abs(n[k])):
             f = f @ base
+    f.flags.writeable = False
     return f
+
+
+def _conjugators(before: np.ndarray, after: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """The ``(n, 4, 4)`` local gates realizing, row by row, the s-ordering of
+    ``before`` to ``after`` by ``perm`` as a magic-state permutation."""
+    signs = _s_moves(before, after, perm)
+    return np.array([
+        _local_gate_of_lambda_perm(_lambda_perm_for_move(SOrderMove(p, s)))
+        for p, s in zip(map(tuple, perm.tolist()), map(tuple, signs.tolist()))
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +342,7 @@ class KakDecomposition:
         )
 
 
-def kak_decompose(g: np.ndarray) -> KakDecomposition:
+def kak_decompose(g: np.ndarray) -> KakDecomposition | tuple[KakDecomposition, ...]:
     """Constructive canonical decomposition of a two-qubit gate.
 
     In the magic basis ``g^T g = O^T D^2 O`` for proper orthogonal ``O``; once
@@ -334,53 +351,77 @@ def kak_decompose(g: np.ndarray) -> KakDecomposition:
     :func:`_content_from_phases`, whose ``pi`` offset also gives
     :func:`interaction_content` its exact zeros), the left factor
     ``O~ = g O^T D^-1`` comes out real orthogonal and both factors split into
-    single-qubit pairs, in one stacked :func:`kron_factor` call.  Residual
-    chamber reductions of alpha are folded into extra local factors so the
-    returned ``alpha`` is canonical.
+    single-qubit pairs.  Residual chamber reductions of alpha (the pi/2
+    shift, the s-ordering and, on the a1 = pi/4 boundary, the gauge move)
+    are folded into extra local factors so the returned ``alpha`` is
+    canonical.
+
+    ``g`` is one 4x4 gate or a stack ``(n, 4, 4)``, which returns a tuple of
+    ``n`` decompositions.  A stack takes one normalization, one batched
+    diagonalization, the chamber fold as row-wise array operations, one
+    :func:`kron_factor` call over its ``2n`` local factors (row ``2k`` is
+    gate ``k``'s post factor, ``2k + 1`` its pre factor) and one reassembly
+    check.  A single gate is the ``n = 1`` case of the same code, and each
+    row of a stack equals the decomposition of that gate alone, bit for bit.
 
     Raises:
-        NonUnitaryError: if ``g`` is not unitary.
+        NonUnitaryError: if ``g`` (or any gate of a stack) is not unitary.
         BranchResolutionError: if no branch renders the left factor real
-            within 1e-6 (numerically degenerate input; surfaced, not patched).
+            within 1e-6 (numerically degenerate input; surfaced, not patched),
+            or the factors do not reassemble the gate within 1e-8.
+        For a stack, the message names the first failing row.
     """
     g = np.asarray(g, dtype=complex)
+    stacked = g.ndim == 3
     g_special, phase = special_normalize(g)
     m = to_magic(g_special)
-    o_right, theta = joint_diagonalize_symmetric_unitary(m.T @ m)
+    o_right, theta = joint_diagonalize_symmetric_unitary(m.swapaxes(-1, -2) @ m)
     _, lam = _content_from_phases(theta)
+    if not stacked:
+        g, m, o_right, lam, phase = g[None], m[None], o_right[None], lam[None], np.array([phase])
+    n = len(g)
 
-    d_inv = np.exp(1j * lam)  # inverse of D = diag(exp(-i lam))
-    o_left = m @ o_right.T @ np.diag(d_inv)
-    imag_mass = np.max(np.abs(o_left.imag))
-    if imag_mass > 1e-6:
+    d_inv = np.zeros((n, 16), dtype=complex)  # inverse of D = diag(exp(-i lam))
+    d_inv[:, ::5] = np.exp(1j * lam)
+    o_left = m @ o_right.swapaxes(-1, -2) @ d_inv.reshape(n, 4, 4)
+    imag_mass = np.abs(o_left.imag).max(axis=(-2, -1))
+    if imag_mass.max() > 1e-6:
+        row = int(np.argmax(imag_mass > 1e-6))
         raise BranchResolutionError(
-            f"left orthogonal factor has imaginary mass {imag_mass:.3g}"
+            f"left orthogonal factor has imaginary mass {imag_mass[row]:.3g}{_row_label(stacked, row)}"
         )
-    o_left = o_left.real
-
-    left = from_magic(o_left)
+    left = from_magic(o_left.real)
     right = from_magic(o_right)
-    alpha = _lambda_to_alpha_unchecked(lam)
 
     # Fold the chamber reduction of alpha into the local factors: the pi/2
     # shift, the s-ordering and, on the a1 = pi/4 boundary, the gauge move.
-    canonical, shift, ordered, perm, boundary, gauge_perm = _chamber_reduce(alpha[None])
-    steps = [(shift[0], alpha, ordered[0], perm[0])]
-    if boundary[0]:
-        steps.append((_GAUGE_SHIFT, ordered[0], canonical[0], gauge_perm[0]))
-    for n, before, after, p in steps:
-        if np.any(n != 0):
-            right = _shift_factor(n) @ right
-        w = _local_gate_of_lambda_perm(_lambda_perm_for_move(_s_move(before - HALF_PI * n, after, p)))
-        left = left @ w.conj().T
-        right = w @ right
+    alpha = _lambda_to_alpha_unchecked(lam)
+    canonical, shift, ordered, perm, boundary, gauge_perm = _chamber_reduce(alpha)
+    if shift.any():
+        moved = shift.any(axis=1)
+        factors = [_shift_factor(tuple(k)) for k in shift[moved].astype(int).tolist()]
+        right[moved] = np.array(factors) @ right[moved]
+    w = _conjugators(alpha - HALF_PI * shift, ordered, perm)
+    left = left @ w.conj().swapaxes(-1, -2)
+    right = w @ right
+    if boundary.any():
+        w = _conjugators(ordered[boundary] - HALF_PI * _GAUGE_SHIFT, canonical[boundary], gauge_perm)
+        left[boundary] = left[boundary] @ w.conj().swapaxes(-1, -2)
+        right[boundary] = w @ (_shift_factor(tuple(_GAUGE_SHIFT)) @ right[boundary])
 
-    post_local, pre_local = kron_factor(np.stack([left, right]))
-    decomp = KakDecomposition(post_local=post_local, alpha=canonical[0], pre_local=pre_local, global_phase=phase)
-    residual = np.max(np.abs(decomp.matrix() - g))
-    if residual > tol.RESIDUAL:
-        raise BranchResolutionError(f"reassembly residual {residual:.3g} exceeds 1e-8")
-    return decomp
+    pairs = kron_factor(np.stack([left, right], axis=1).reshape(2 * n, 4, 4))
+    factors = np.array([(pair.u_a, pair.u_b) for pair in pairs])
+    local = np.array([pair.phase for pair in pairs])[:, None, None] * _kron2(factors[:, 0], factors[:, 1])
+    drift = (MAGIC * np.exp(-1j * (canonical @ _LAMBDA_SIGNS.T))[:, None, :]) @ _MAGIC_DAG
+    rebuilt = phase[:, None, None] * (local[0::2] @ drift @ local[1::2])
+    residual = np.abs(rebuilt - g).max(axis=(-2, -1))
+    if residual.max() > tol.RESIDUAL:
+        row = int(np.argmax(residual > tol.RESIDUAL))
+        raise BranchResolutionError(
+            f"reassembly residual {residual[row]:.3g}{_row_label(stacked, row)} exceeds 1e-8"
+        )
+    decomps = tuple(map(KakDecomposition, pairs[0::2], canonical, pairs[1::2], phase))
+    return decomps if stacked else decomps[0]
 
 
 # ---------------------------------------------------------------------------

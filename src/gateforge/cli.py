@@ -6,12 +6,17 @@ carries (``_request``: one flag, one field), and one chunk runner answers
 both: ``batch`` runs its input in chunks of up to 32 lines, a subcommand
 (and ``_run``) is a chunk of one.  Each chunk starts with one pre-pass
 (``_prepare``): it parses every line, resolves every gate field, admits and
-projects all matrix gates as one stack, and takes the interaction contents
+projects all matrix gates as one stack, takes the interaction contents
 that ``canon`` (without ``full``), ``cost``, ``classify`` and ``order``
-need from one stacked content call.  If a stacked call raises, each gate is
-redone alone, so that its error names no stack row.  A field that failed
-keeps its exception, which the command runner raises when it reaches that
-field, so each line answers or fails exactly as it would alone.  The
+need from one stacked content call, and the KAK decompositions that
+``synth`` and ``canon`` with ``full`` need from one stacked
+``kak_decompose`` call (``synth`` hands its decomposition to the library's
+synthesis, which then does not decompose again).  If a stacked call
+raises, each gate is redone alone, so that its error names no stack row.
+A field that failed keeps its exception, which the command runner raises
+when it reaches that field (a failed decomposition is raised by the
+synthesis where it would decompose, after its drift checks), so each line
+answers or fails exactly as it would alone.  The
 command runners return library values; each result becomes JSON data in
 one pass (``_plain``), which rounds every number once.  Only writing
 ``synth``'s protocol to ``--out``, alpha-reorder warnings and exit codes
@@ -356,10 +361,22 @@ def _hamiltonian(line: dict, degrees: bool) -> tuple[np.ndarray, LocalUnitaryPai
 
 def _tolerance(line: dict, key: str, default: float) -> float:
     message = f"{key} must be a finite non-negative number"
-    tol = float(_reals(line.get(key, default), (), message))
+    value = line.get(key, default)
+    if isinstance(value, bool):  # not read as 0 or 1
+        raise ValidationError(message)
+    tol = float(_reals(value, (), message))
     if tol < 0:
         raise ValidationError(message)
     return tol
+
+
+def _full(line: dict) -> bool:
+    """The ``full`` flag of a ``canon`` request: a JSON boolean, false when
+    absent; anything else raises ``ValidationError``."""
+    full = line.get("full", False)
+    if not isinstance(full, bool):
+        raise ValidationError("full must be true or false")
+    return full
 
 
 # ---------------------------------------------------------------------------
@@ -383,16 +400,17 @@ class _Request:
     """A request (the parsed line, or the exception its decoding or parse
     raised) and what its chunk's pre-pass found for it: the gate of each
     gate field and, where its command needs it, the gate's interaction
-    content.  A field that failed holds its exception, raised when the
-    command runner reaches that field."""
+    content or its KAK decomposition.  A field that failed holds its
+    exception, raised when the command runner reaches that field."""
 
-    __slots__ = ("line", "degrees", "gates", "contents")
+    __slots__ = ("line", "degrees", "gates", "contents", "kaks")
 
     def __init__(self, line, degrees: bool) -> None:
         self.line = line
         self.degrees = degrees
         self.gates: dict = {}
         self.contents: dict = {}
+        self.kaks: dict = {}
 
     def gate(self, key: str) -> np.ndarray:
         return _raised(self.gates[key])
@@ -424,11 +442,13 @@ def _prepare(lines: list, degrees: bool) -> list[_Request]:
     """The pre-pass of a chunk of ``lines`` (parsed requests, or the
     exceptions their parse raised): resolves every gate field of the
     commands in ``_GATE_FIELDS``, admits and projects all matrix gates as
-    one stack, and takes the contents that ``canon`` (without ``full``),
+    one stack, takes the contents that ``canon`` (without ``full``),
     ``cost``, ``classify`` and ``order`` need from one stacked
-    :func:`interaction_content` call."""
+    :func:`interaction_content` call, and the decompositions that ``synth``
+    and ``canon`` with ``full`` need from one stacked :func:`kak_decompose`
+    call."""
     requests = [_Request(line, degrees) for line in lines]
-    admit, needed = [], []
+    admit, needed, decompose = [], [], []
     for req in requests:
         cmd = req.line.get("cmd") if isinstance(req.line, dict) else None
         if not isinstance(cmd, str) or cmd not in _GATE_FIELDS:
@@ -441,13 +461,22 @@ def _prepare(lines: list, degrees: bool) -> list[_Request]:
                 continue
             if raw:
                 admit.append((req, key))
-        if cmd in _CONTENT_COMMANDS and not (cmd == "canon" and req.line.get("full")):
+        try:
+            full = cmd == "canon" and _full(req.line)
+        except ValidationError:
+            continue  # raised by the runner, after the gate
+        if cmd == "synth" or full:
+            decompose.append((req, "gate"))
+        elif cmd in _CONTENT_COMMANDS:
             needed += [(req, key) for key in _GATE_FIELDS[cmd]]
     for (req, key), gate in zip(admit, _each(_admitted_unitary, [req.gates[key] for req, key in admit])):
         req.gates[key] = gate
     needed = [(req, key) for req, key in needed if not isinstance(req.gates[key], Exception)]
     for (req, key), beta in zip(needed, _each(interaction_content, [req.gates[key] for req, key in needed])):
         req.contents[key] = beta
+    decompose = [(req, key) for req, key in decompose if not isinstance(req.gates[key], Exception)]
+    for (req, key), kak in zip(decompose, _each(kak_decompose, [req.gates[key] for req, key in decompose])):
+        req.kaks[key] = kak
     return requests
 
 
@@ -482,7 +511,7 @@ def _run(line, degrees: bool) -> dict:
 
 def _run_canon(req: _Request) -> dict:
     gate = req.gate("gate")
-    kak = kak_decompose(gate) if req.line.get("full") else None
+    kak = _raised(req.kaks["gate"]) if _full(req.line) else None
     alpha = req.content("gate") if kak is None else kak.alpha
     out = {"alpha": alpha, "lambda": alpha_to_lambda(alpha)}
     if kak is not None:
@@ -512,7 +541,7 @@ def _run_cost(req: _Request) -> dict:
 
 def _run_synth(req: _Request) -> dict:
     alpha, pair = _hamiltonian(req.line, req.degrees)
-    p, report = protocol._synthesize(req.gate("gate"), alpha)
+    p, report = protocol._synthesize(req.gate("gate"), alpha, req.kaks["gate"])
     out = {"total_time": p.total_time, "segments": len(p.segments), "hamiltonian_alpha": alpha}
     out["verification"] = vars(report)
     if pair is not None:
@@ -574,7 +603,8 @@ _GATE_FIELDS = {
     "order": ("gate_u", "gate_v"),
 }
 #: The commands whose gates' contents the pre-pass takes (``canon`` only
-#: without ``full``, which takes its content from ``kak_decompose``).
+#: without ``full``; with it, as for ``synth``, the pre-pass takes the
+#: gate's decomposition instead).
 _CONTENT_COMMANDS = ("canon", "cost", "classify", "order")
 
 

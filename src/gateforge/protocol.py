@@ -17,6 +17,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .canonical import (
+    KakDecomposition,
     _lambda_perm_for_move,
     _local_gate_of_lambda_perm,
     _shift_factor,
@@ -175,14 +176,23 @@ def synthesize(target: np.ndarray, alpha: np.ndarray) -> Protocol:
     return _synthesize(target, alpha)[0]
 
 
-def _synthesize(target: np.ndarray, alpha: np.ndarray) -> tuple[Protocol, VerificationReport]:
-    """:func:`synthesize`, also returning the report of its self-check."""
+def _synthesize(
+    target: np.ndarray, alpha: np.ndarray, _kak: KakDecomposition | Exception | None = None
+) -> tuple[Protocol, VerificationReport]:
+    """:func:`synthesize`, also returning the report of its self-check.
+
+    ``_kak`` is the target's decomposition when the caller already has it
+    (the CLI takes a chunk's decompositions from one stacked call), or the
+    exception computing it raised, which is raised where the target would
+    be decomposed, after the drift checks; ``None`` decomposes here."""
     alpha = np.asarray(alpha, dtype=float)
     if not np.isfinite(alpha).all():
         raise ValidationError(f"drift {alpha.tolist()} is not finite")
     if not is_s_ordered(alpha):
         raise ValidationError(f"drift {alpha.tolist()} is not s-ordered")
-    kak = kak_decompose(target)
+    if isinstance(_kak, Exception):
+        raise _kak
+    kak = kak_decompose(target) if _kak is None else _kak
     report = interaction_cost(kak.alpha, alpha)
     if report.infeasible:
         raise InfeasibleError("local-only drift cannot realize a non-local target")
@@ -206,7 +216,7 @@ def _synthesize(target: np.ndarray, alpha: np.ndarray) -> tuple[Protocol, Verifi
     # Shift branch: E(beta) = E(beta + (pi/2) n) @ shift_factor(-n).
     branch = np.asarray(report.branch, dtype=int)
     shifted = kak.alpha + (np.pi / 2) * branch
-    shift_local = _shift_factor(-branch)
+    shift_local = _shift_factor(tuple((-branch).tolist()))
 
     # Reorder the shifted content to its s-ordered form by a local conjugation.
     ordered, move = s_order(shifted)

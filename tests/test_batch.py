@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gateforge
-from gateforge import cli, gates
+from gateforge import cli, gates, protocol
 from gateforge.cli import _run, main, protocol_to_json
 from gateforge.errors import BranchResolutionError, GateforgeError
 from gateforge.protocol import synthesize
@@ -49,6 +49,10 @@ _BAD = [
     json.dumps({"cmd": "canon", "gate": {"matrix": _OFF_UNITARY_ENTRIES}}).encode(),
     json.dumps({"cmd": "order", "gate_u": "CNOT", "gate_v": {"matrix": _OFF_UNITARY_ENTRIES}}).encode(),
     json.dumps({"cmd": "cost", "gate": {"matrix": _OFF_UNITARY_ENTRIES}, "alpha": [1, "x", 0]}).encode(),
+    json.dumps({"cmd": "synth", "gate": {"matrix": _OFF_UNITARY_ENTRIES}, "alpha": [1, 0.5, 0]}).encode(),
+    json.dumps({"cmd": "synth", "gate": {"matrix": _OFF_UNITARY_ENTRIES}, "alpha": [1, "x", 0]}).encode(),
+    json.dumps({"cmd": "canon", "gate": {"matrix": _OFF_UNITARY_ENTRIES}, "full": True}).encode(),
+    json.dumps({"cmd": "canon", "gate": "CNOT", "full": "yes"}).encode(),
     b"\xff\xfe",
     b"",
     b"   \t",
@@ -95,6 +99,14 @@ def test_answers_do_not_depend_on_the_chunking(lines):
 def test_bad_alpha_is_named_before_a_bad_gate():
     line = {"cmd": "cost", "gate": {"matrix": _OFF_UNITARY_ENTRIES}, "alpha": [1, "x", 0]}
     data = b"".join(json.dumps(x).encode() + b"\n" for x in [_VALID[0], line, _VALID[3]])
+    first, bad, last = (json.loads(out) for out in batch_output(data).splitlines())
+    assert first["ok"] and last["ok"]
+    assert bad == {"ok": False, "error": "alpha must be a finite 3-vector", "error_type": "ValidationError"}
+
+
+def test_a_synth_line_names_a_bad_alpha_before_a_bad_gate():
+    line = {"cmd": "synth", "gate": {"matrix": _OFF_UNITARY_ENTRIES}, "alpha": [1, "x", 0]}
+    data = b"".join(json.dumps(x).encode() + b"\n" for x in [_VALID[5], line, _VALID[2]])
     first, bad, last = (json.loads(out) for out in batch_output(data).splitlines())
     assert first["ok"] and last["ok"]
     assert bad == {"ok": False, "error": "alpha must be a finite 3-vector", "error_type": "ValidationError"}
@@ -151,6 +163,58 @@ def test_a_failing_stacked_content_call_is_redone_gate_by_gate(monkeypatch):
     error = {"ok": False, "error": "no eigenvalue branch", "error_type": "BranchResolutionError"}
     assert json.loads(answers[1]) == error
     assert answers[:1] + answers[2:] == expected[:1] + expected[2:]
+
+
+def test_a_failing_stacked_kak_call_is_redone_gate_by_gate(monkeypatch):
+    # As for the content call: SWAP is marked, so a stacked decomposition
+    # holding it raises naming its row, and alone it raises the single-call
+    # text, which only SWAP's lines get (synth's from inside the synthesis).
+    kak = cli.kak_decompose
+    swap = gates.named_gate("SWAP")
+
+    def marked(g):
+        if g.ndim == 3:
+            rows = [k for k, m in enumerate(g) if np.array_equal(m, swap)]
+            if rows:
+                raise BranchResolutionError(f"reassembly residual 1 in row {rows[0]} exceeds 1e-08")
+        elif np.array_equal(g, swap):
+            raise BranchResolutionError("reassembly residual 1 exceeds 1e-08")
+        return kak(g)
+
+    lines = [
+        _VALID[5],
+        {"cmd": "synth", "gate": "SWAP", "alpha": [1, 1, 1]},
+        {"cmd": "canon", "gate": "CNOT", "full": True},
+        _VALID[2],
+        _VALID[3],
+    ]
+    data = b"".join(json.dumps(line).encode() + b"\n" for line in lines)
+    expected = batch_output(data).splitlines()
+    monkeypatch.setattr(cli, "kak_decompose", marked)
+    answers = batch_output(data).splitlines()
+    error = {"ok": False, "error": "reassembly residual 1 exceeds 1e-08", "error_type": "BranchResolutionError"}
+    assert [json.loads(answers[k]) for k in (1, 3)] == [error, error]
+    assert [answers[k] for k in (0, 2, 4)] == [expected[k] for k in (0, 2, 4)]
+
+
+def test_a_synth_chunk_makes_one_kak_call(monkeypatch):
+    calls, library_calls = [], []
+    kak = cli.kak_decompose
+
+    def counted(g):
+        calls.append(np.shape(g))
+        return kak(g)
+
+    monkeypatch.setattr(cli, "kak_decompose", counted)
+    monkeypatch.setattr(protocol, "kak_decompose", lambda g: library_calls.append(g) or kak(g))
+    gate_specs = ["CNOT", "SWAP", "CONTROLLED_U:0.3", *(f"FAMILY:{0.1 * k},0.2,0.05" for k in range(29))]
+    lines = [{"cmd": "synth", "gate": gate, "alpha": [1, 0.6, -0.3]} for gate in gate_specs]
+    data = b"".join(json.dumps(line).encode() + b"\n" for line in lines)
+    answers = [json.loads(out) for out in batch_output(data).splitlines()]
+    assert len(answers) == 32 and all(answer["ok"] for answer in answers)
+    # One stacked decomposition for the chunk; the synthesis reuses it.
+    assert calls == [(32, 4, 4)]
+    assert library_calls == []
 
 
 def test_an_analyze_chunk_makes_one_content_call(monkeypatch):

@@ -210,6 +210,34 @@ def test_stacked_content_names_nonunitary_row():
         interaction_content(stack)
 
 
+def kak_fields(kak):
+    """Every array of a decomposition, as bytes: alpha, both pairs' factors
+    and phases, and the global phase."""
+    pairs = (kak.post_local, kak.pre_local)
+    values = [kak.alpha, *(np.asarray(x) for pair in pairs for x in (pair.u_a, pair.u_b, pair.phase))]
+    return [np.asarray(x).tobytes() for x in (*values, kak.global_phase)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(haar_gates() | dressed_gates(), min_size=1, max_size=12))
+def test_stacked_kak_equals_row_by_row(gs):
+    stacked = kak_decompose(np.array(gs))
+    assert isinstance(stacked, tuple) and len(stacked) == len(gs)
+    for g, row in zip(gs, stacked):
+        assert kak_fields(row) == kak_fields(kak_decompose(g))
+
+
+def test_stacked_kak_names_its_failing_row():
+    rng = np.random.default_rng(15)
+    stack = np.array([random_unitary(4, rng) for _ in range(4)])
+    stack[2] = np.ones((4, 4))
+    with pytest.raises(NonUnitaryError, match="in row 2"):
+        kak_decompose(stack)
+    with pytest.raises(NonUnitaryError) as alone:
+        kak_decompose(stack[2])
+    assert "row" not in str(alone.value)
+
+
 def magic_phases(g):
     """Eigenphases of ``g^T g`` in the magic basis, for a gate or a stack."""
     m = to_magic(special_normalize(g)[0])

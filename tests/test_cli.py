@@ -418,6 +418,35 @@ def test_non_finite_or_negative_tolerances_are_rejected(capsys, tmp_path, value)
     assert [r["ok"] for r in results] == [False, False]
 
 
+@pytest.mark.parametrize("full", ["false", "yes", 1, 0, None, []])
+def test_a_mistyped_full_flag_is_rejected(capsys, tmp_path, full):
+    # "false" used to give the full decomposition, being a truthy string.
+    line = {"cmd": "canon", "gate": "CNOT", "full": full}
+    error = {"ok": False, "error": "full must be true or false", "error_type": "ValidationError"}
+    assert run_batch(capsys, tmp_path, [line]) == [error]
+    with pytest.raises(ValidationError, match="full must be true or false"):
+        _run(line, False)
+
+
+def test_boolean_tolerances_are_rejected(capsys, tmp_path):
+    # true used to be read as a tolerance of 1.0.
+    protocol = protocol_to_json(synthesize(gates.CNOT, np.array([1.0, 0.0, 0.0])))
+    results = run_batch(
+        capsys,
+        tmp_path,
+        [
+            {"cmd": "verify", "gate": "CNOT", "protocol": protocol, "tolerance": True},
+            {"cmd": "classify", "gate": "CNOT", "class_tol": True},
+            {"cmd": "classify", "gate": "CNOT", "class_tol": False},
+        ],
+    )
+    assert [r.get("error") for r in results] == [
+        "tolerance must be a finite non-negative number",
+        "class_tol must be a finite non-negative number",
+        "class_tol must be a finite non-negative number",
+    ]
+
+
 @pytest.mark.parametrize(
     "duration, message",
     [

@@ -11,7 +11,8 @@ from conftest import (
     reference_kron_factor,
 )
 from gateforge import gates
-from gateforge.canonical import kak_decompose
+from gateforge.canonical import interaction_content, kak_decompose
+from gateforge.comm import family_gate
 from gateforge.cli import _sig
 from gateforge.errors import (
     ImproperRotationError,
@@ -198,6 +199,23 @@ def test_joint_diagonalize_stack_equals_row_by_row():
     for k, m in enumerate(stack):
         o_k, theta_k = joint_diagonalize_symmetric_unitary(m)
         assert np.array_equal(o_all[k], o_k) and np.array_equal(theta_all[k], theta_k)
+
+
+def test_a_stack_of_walls_and_landmarks_makes_one_eigh_per_cluster_size(monkeypatch):
+    # The degenerate clusters of all rows are resolved with one batched
+    # eigh per cluster size; row by row this stack made 49 eigh calls.
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return eigh(a)
+
+    stack = np.array([gates.CNOT, gates.named_gate("SWAP"), gates.named_gate("DCNOT"), family_gate(0.3, 0.3, 0)] * 8)
+    rows = np.array([interaction_content(g) for g in stack])
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert np.array_equal(interaction_content(stack), rows)
+    assert 2 <= len(calls) <= 4
 
 
 def test_joint_diagonalize_stack_names_failing_row():

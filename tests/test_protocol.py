@@ -22,9 +22,10 @@ from gateforge.canonical import (
     coupling_hamiltonian,
     hamiltonian_canonical,
     interaction_content,
+    kak_decompose,
 )
 from gateforge.cost import interaction_cost
-from gateforge.errors import InfeasibleError, NegativeDurationError, NonUnitaryError, ValidationError
+from gateforge.errors import BranchResolutionError, InfeasibleError, NegativeDurationError, NonUnitaryError, ValidationError
 from gateforge.linalg import LocalUnitaryPair, drift_exponential, is_unitary
 from gateforge.protocol import (
     Protocol,
@@ -162,6 +163,23 @@ def test_synthesize_self_check_report_is_verify_report():
         g = random_unitary(4, rng)
         p, report = _synthesize(g, random_s_ordered_alpha(rng))
         assert report == verify(p, g, 1e-7)
+
+
+def test_synthesize_takes_a_precomputed_decomposition():
+    # The CLI hands over each target's decomposition from one stacked call:
+    # the result is the one synthesize computes itself, and a stored failure
+    # is raised where the target would be decomposed, after the drift checks.
+    alpha = np.array([1.0, 0.6, -0.3])
+    (given, given_report), (own, own_report) = (
+        _synthesize(gates.CNOT, alpha, kak) for kak in (kak_decompose(gates.CNOT), None)
+    )
+    assert given_report == own_report
+    assert simulate(given).tobytes() == simulate(own).tobytes()
+    failure = BranchResolutionError("reassembly residual 1 exceeds 1e-08")
+    with pytest.raises(ValidationError, match="is not s-ordered"):
+        _synthesize(gates.CNOT, np.array([0.0, 1.0, 0.0]), failure)
+    with pytest.raises(BranchResolutionError, match="reassembly residual"):
+        _synthesize(gates.CNOT, alpha, failure)
 
 
 def test_synthesize_requires_s_ordered_alpha():
