@@ -251,38 +251,26 @@ def joint_diagonalize_symmetric_unitary(m: np.ndarray) -> tuple[np.ndarray, np.n
 
 def _resolve_clusters(z: np.ndarray, d: np.ndarray, v: np.ndarray, close: np.ndarray) -> None:
     """The second pass of :func:`joint_diagonalize_symmetric_unitary`, in
-    place on the eigenvectors ``v``: every degenerate cluster of every row
-    (a run of ``close`` neighbours) has its block of ``v`` rotated to
+    place on the eigenvectors ``v``: the block of ``v`` of every degenerate
+    cluster (a run of ``close`` neighbours) of every row is rotated to
     diagonalize the restriction of Im(m), or of Im(m) - Re(m) where
-    ``|d| < 1/2``.  Clusters are grouped by size, with one batched ``eigh``
-    per size; the restriction is taken apart for each kind of ``f``, since
-    Im(m) is a strided view (multiplied without BLAS) and Im(m) - Re(m) a
-    contiguous array, so each cluster is computed as it would be alone."""
-    clusters = []  # (row, first column, size)
+    ``|d| < 1/2``.  The restrictions are taken cluster by cluster, as for a
+    matrix alone, and diagonalized with one batched ``eigh`` per cluster
+    size."""
+    by_size: dict = {}
     for r in close.any(axis=-1).nonzero()[0].tolist():
         cuts = [0, *((~close[r]).nonzero()[0] + 1).tolist(), 4]
-        clusters += [(r, i, j - i) for i, j in zip(cuts, cuts[1:]) if j - i > 1]
-    clusters = np.array(clusters)
-    # v is a transposed view: vt[row, col] is the eigenvector in column col.
-    # Gathering rows of vt keeps each block's strides those of a slice of v.
-    vt = v.swapaxes(-1, -2)
-    for size in (2, 3, 4):
-        rows, first = clusters[clusters[:, 2] == size, :2].T
-        if not len(rows):
-            continue
-        cols = first[:, None] + np.arange(size)
-        block_t = vt[rows[:, None], cols]  # block_t[c] is v[row, :, first:first + size].T
-        block = block_t.swapaxes(-1, -2)
-        flat = np.abs(d[rows, first]) < 0.5
-        restricted = np.empty((len(rows), size, size))
-        for kind in (~flat, flat):
-            if kind.any():
-                zk = z[rows[kind]]
-                f = zk.imag - zk.real if kind is flat else zk.imag
-                part = block_t[kind]
-                restricted[kind] = part @ f @ part.swapaxes(-1, -2)
+        for i, j in zip(cuts, cuts[1:]):
+            if j - i > 1:
+                f = z[r].imag if abs(d[r, i]) >= 0.5 else z[r].imag - z[r].real
+                block = v[r, :, i:j]
+                by_size.setdefault(j - i, []).append((block, block.T @ f @ block))
+    for clusters in by_size.values():
+        blocks, restricted = zip(*clusters)
+        restricted = np.array(restricted)
         _, w = np.linalg.eigh((restricted + restricted.swapaxes(-1, -2)) / 2)
-        vt[rows[:, None], cols] = (block @ w).swapaxes(-1, -2)
+        for block, rotation in zip(blocks, w):
+            block[...] = block @ rotation
 
 
 def kron_factor(m: np.ndarray) -> LocalUnitaryPair | tuple[LocalUnitaryPair, ...]:

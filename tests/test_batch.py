@@ -97,19 +97,12 @@ def test_answers_do_not_depend_on_the_chunking(lines):
 
 
 def test_bad_alpha_is_named_before_a_bad_gate():
-    line = {"cmd": "cost", "gate": {"matrix": _OFF_UNITARY_ENTRIES}, "alpha": [1, "x", 0]}
-    data = b"".join(json.dumps(x).encode() + b"\n" for x in [_VALID[0], line, _VALID[3]])
-    first, bad, last = (json.loads(out) for out in batch_output(data).splitlines())
+    lines = [{"cmd": cmd, "gate": {"matrix": _OFF_UNITARY_ENTRIES}, "alpha": [1, "x", 0]} for cmd in ("cost", "synth")]
+    data = b"".join(json.dumps(x).encode() + b"\n" for x in [_VALID[0], *lines, _VALID[3]])
+    first, *bad, last = (json.loads(out) for out in batch_output(data).splitlines())
     assert first["ok"] and last["ok"]
-    assert bad == {"ok": False, "error": "alpha must be a finite 3-vector", "error_type": "ValidationError"}
-
-
-def test_a_synth_line_names_a_bad_alpha_before_a_bad_gate():
-    line = {"cmd": "synth", "gate": {"matrix": _OFF_UNITARY_ENTRIES}, "alpha": [1, "x", 0]}
-    data = b"".join(json.dumps(x).encode() + b"\n" for x in [_VALID[5], line, _VALID[2]])
-    first, bad, last = (json.loads(out) for out in batch_output(data).splitlines())
-    assert first["ok"] and last["ok"]
-    assert bad == {"ok": False, "error": "alpha must be a finite 3-vector", "error_type": "ValidationError"}
+    error = {"ok": False, "error": "alpha must be a finite 3-vector", "error_type": "ValidationError"}
+    assert bad == [error, error]
 
 
 def test_undecodable_line_gets_an_error_line():
