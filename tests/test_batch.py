@@ -1,6 +1,6 @@
 """The chunked ``batch`` path: per-line answers and errors are those of each
-line run alone, whatever the chunking; one stacked content call per chunk;
-undecodable lines and streaming stdin."""
+line run alone, whatever the chunking; one stacked content call and one
+stacked KAK call per chunk; undecodable lines and streaming stdin."""
 
 import contextlib
 import io
