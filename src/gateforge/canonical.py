@@ -399,8 +399,8 @@ def kak_decompose(g: np.ndarray) -> KakDecomposition | tuple[KakDecomposition, .
     canonical, shift, ordered, perm, boundary, gauge_perm = _chamber_reduce(alpha)
     if shift.any():
         moved = shift.any(axis=1)
-        factors = [_shift_factor(tuple(k)) for k in shift[moved].astype(int).tolist()]
-        right[moved] = np.array(factors) @ right[moved]
+        shift_factors = [_shift_factor(tuple(k)) for k in shift[moved].astype(int).tolist()]
+        right[moved] = np.array(shift_factors) @ right[moved]
     w = _conjugators(alpha - HALF_PI * shift, ordered, perm)
     left = left @ w.conj().swapaxes(-1, -2)
     right = w @ right
