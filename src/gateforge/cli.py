@@ -555,7 +555,7 @@ def _run_verify(req: _Request) -> dict:
         p = protocol_from_json(_field(req.line, "protocol"))
     except (KeyError, IndexError, TypeError, ValueError, ArithmeticError) as exc:
         raise ValidationError(f"cannot load protocol: {exc}") from None
-    return vars(protocol.verify(p, req.gate("gate"), _tolerance(req.line, "tolerance", 1e-7)))
+    return vars(protocol.verify(p, req.gate("gate"), _tolerance(req.line, "tolerance", tolerances.VERIFY)))
 
 
 def _run_classify(req: _Request) -> dict:
@@ -652,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd = commands.add_parser("verify", help="verify a protocol file against a gate")
     _add_gate_flags(verify_cmd)
     verify_cmd.add_argument("--protocol", required=True, help="protocol JSON file")
-    verify_cmd.add_argument("--tolerance", type=float, default=1e-7)
+    verify_cmd.add_argument("--tolerance", type=float, default=tolerances.VERIFY)
 
     classify_cmd = commands.add_parser("classify", help="transmission-capability class of a gate")
     _add_gate_flags(classify_cmd)

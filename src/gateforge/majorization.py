@@ -1,8 +1,7 @@
 """Majorization and s-majorization predicates, the closed-form minimal-time
 solver for drift simulation, and certificates expressing a majorization as a
-convex combination of at most three magic-state permutations.  One search
-builds a certificate: over the tight face's few permutations first, over all
-24 only when that finds nothing, in the same canonical order.
+convex combination of permuted copies: at most three at the optimal time,
+built by a face descent on the permutohedron.
 
 The three s-majorization partial sums are written once, row-wise, in
 ``_s_sums``; ``_min_times`` reads them as a minimal time, which is both the
@@ -12,8 +11,6 @@ interaction cost and, compared with a given time, the feasibility test of
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,19 +18,12 @@ import numpy as np
 
 from . import tolerances as tol
 from .canonical import _s_sort
-from .errors import NoTripleFoundError, NotMajorizedError, ValidationError
+from .errors import NotMajorizedError, ValidationError
 
-#: All 24 permutations of four elements in lexicographic one-line order; the
-#: enumeration order below makes every returned certificate reproducible.
-PERMUTATIONS: tuple[tuple[int, ...], ...] = tuple(itertools.permutations(range(4)))
-
-_PERM_GATHER = np.array([list(p) for p in PERMUTATIONS])
-
-#: Weights this far below zero are roundoff at a polytope face, not
-#: infeasibility; they are clamped to exactly zero.
-_WEIGHT_CLAMP = -1e-12
-
-_CERT_RESIDUAL = 1e-9
+#: The 14 nonempty proper subsets of the four slots, one mask per row, and
+#: their sizes.
+_SUBSETS = (np.arange(1, 15)[:, None] >> np.arange(4) & 1).astype(bool)
+_SIZES = _SUBSETS.sum(axis=1)
 
 
 def majorizes(x: np.ndarray, y: np.ndarray, atol: float = tol.STRUCTURAL) -> bool:
@@ -142,139 +132,86 @@ class PermutationWeighting:
 
     def validate(self) -> None:
         weights = np.array([w for _, w in self.terms])
-        if len(self.terms) > 3:
-            raise ValueError("certificate has more than 3 terms")
+        if len(self.terms) > 4:
+            raise ValueError("certificate has more than 4 terms")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > tol.STRUCTURAL:
             raise ValueError("weights are not a probability distribution")
 
 
 def birkhoff_express(mu: np.ndarray, lam: np.ndarray, t: float) -> PermutationWeighting:
-    """Certificate ``mu = t * sum p_i (P_i lam)`` with at most three terms.
+    """Certificate ``mu = t * sum p_i (P_i lam)``, built by a face descent on
+    the permutohedron of ``lam * t``.
 
-    Subsets of the permutations are enumerated in a fixed canonical order
-    (singletons, then pairs, then triples, lexicographic by permutation index
-    throughout); for each subset the small linear system for the weights is
-    solved and the first subset with nonnegative weights and residual at most
-    1e-9 is returned, making the output deterministic.  Residuals and
-    solvability thresholds are taken relative to ``max|lam * t|``, so the
-    result does not depend on the scale of the content.  The tight face is
-    searched first: the permutations reaching each majorization partial sum
-    of ``mu`` that some copy of ``lam * t`` reaches within 1e-9.  Every
-    certificate lies in it; at the optimal time it has at most 6 permutations
-    for distinct drift eigenvalues.  If it yields nothing, all 24 are searched.
+    A face of the permutohedron is a product of smaller permutohedra, one per
+    block of an ordered partition of the four slots: the first block holds
+    the largest values of ``lam * t``, the next block the next ones, and so
+    on.  The descent starts on the face that ``mu`` lies in, splitting the
+    slots at every prefix of ``mu``'s sorted order whose partial sum is
+    tight.  Then, until every block is one slot, it takes the face's vertex
+    sorted like the current point within each block and shoots the ray from
+    that vertex through the point.  The ray leaves the face where a subset
+    sum of some block first becomes tight, the least ratio over at most 14
+    subsets; the vertex takes its share of the weight, the point moves to
+    the exit, and that block splits in two.  The last point is a vertex.
+
+    Each split lowers the face's dimension by one, so the certificate has at
+    most three terms when ``mu`` lies on the boundary of the permutohedron,
+    as every time-optimal instance does, and at most four otherwise.  The
+    one threshold is roundoff, 64 rounding units of ``lam * t``: the larger
+    of the unit of ``max|lam * t|`` and that scale times the relative unit
+    of ``t``, since a time near underflow carries fewer bits than the
+    product.  A prefix within it of its bound is tight, and a ray within it
+    of the vertex has arrived.  The majorization check is relative too
+    (``STRUCTURAL`` times ``max|lam * t|``), so the result does not depend
+    on the scale of the content.
 
     Raises:
         NotMajorizedError: if ``lam * t`` does not majorize ``mu``.
-        NoTripleFoundError: if no 3-subset certifies the relation.  For
-            time-optimal instances three terms always suffice, so this error
-            is a finding to report; the exception carries the inputs and the
-            smallest residual of a nonnegative-weight triple over all 24.
     """
     mu = np.asarray(mu, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if not majorizes(lam * t, mu):
+    # Values by rank, and the sum of the values of ranks [0, k) as tops[k].
+    rank = np.argsort(-lam * t, kind="stable")
+    values = lam[rank] * t
+    tops = np.concatenate([[0.0], np.cumsum(values)])
+    scale = float(np.max(np.abs(values)))
+    if not majorizes(values, mu, atol=tol.STRUCTURAL * scale):
         raise NotMajorizedError("lam * t does not majorize mu")
+    tight = 64 * max(math.ulp(scale), scale * (math.ulp(t) / t if t else 0.0))
 
-    # The thresholds below are relative: everything is measured in units of
-    # max|lam * t|, so a weak target is certified as readily as a strong one.
-    scale = float(np.max(np.abs(lam * t))) or 1.0
-    target = mu / scale
-    columns = lam[_PERM_GATHER] * t / scale  # 24 x 4
+    # Each slot's block is the interval [lo, hi) of ranks it shares.
+    order = np.argsort(-mu, kind="stable")
+    cuts = np.flatnonzero(tops[1:4] - np.cumsum(mu[order])[:3] <= tight) + 1
+    bounds = np.concatenate([[0], cuts, [4]])
+    block = np.searchsorted(cuts, np.arange(4), side="right")
+    lo, hi = np.empty(4, dtype=int), np.empty(4, dtype=int)
+    lo[order], hi[order] = bounds[block], bounds[block + 1]
 
-    # Partial sums of target's top-k entries, and of each copy on those slots.
-    order = np.argsort(-target, kind="stable")
-    need = np.cumsum(target[order])[:3]
-    reach = np.cumsum(columns[:, order], axis=1)[:, :3]  # 24 x 3
-    tight = reach.max(axis=0) - need <= _CERT_RESIDUAL
-    on_face = np.all(reach[:, tight] >= need[tight] - _CERT_RESIDUAL, axis=1)
-    face = tuple(np.flatnonzero(on_face).tolist())
-    for candidates in dict.fromkeys((face, tuple(range(24)))):  # face first, all 24 unless equal
-        found, residual = _search(target, columns, candidates)
-        if found is not None:
-            return found
-    raise NoTripleFoundError(
-        "no certificate with at most 3 permutations; this contradicts the "
-        "3-term bound for time-optimal instances", mu=mu, lam=lam, t=t, residual=residual
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def _subsets(candidates: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Lexicographic singleton, pair and triple tables over ascending ``candidates``."""
-    tables = tuple(
-        np.array(list(itertools.combinations(candidates, k)), dtype=int).reshape(-1, k) for k in (1, 2, 3)
-    )
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-def _search(target: np.ndarray, columns: np.ndarray, candidates: tuple[int, ...]):
-    """``(certificate, 0.0)`` for the first certificate over ``candidates`` in
-    canonical order, else ``(None, r)`` with ``r`` the smallest residual of a
-    nonnegative-weight triple (``inf`` if none).  ``target`` and the 24
-    copies ``columns`` are in units of ``max|lam * t|``."""
-    singles, pairs, triples = _subsets(candidates)
-    gaps = np.max(np.abs(columns[singles[:, 0]] - target), axis=1)
-    hits = np.flatnonzero(gaps <= _CERT_RESIDUAL)
-    if hits.size:
-        return PermutationWeighting(((PERMUTATIONS[singles[hits[0], 0]], 1.0),)), 0.0
-
-    # Pairs: mu = w a + (1-w) b has the scalar solution w = <mu-b, a-b>/|a-b|^2.
-    a = columns[pairs[:, 0]]
-    b = columns[pairs[:, 1]]
-    diff = a - b
-    denom = np.einsum("ij,ij->i", diff, diff)
-    solvable = denom > 1e-18
-    w = np.where(
-        solvable,
-        np.einsum("ij,ij->i", target - b, diff) / np.where(solvable, denom, 1.0),
-        -1.0,
-    )
-    admissible = solvable & (w >= _WEIGHT_CLAMP) & (w <= 1 - _WEIGHT_CLAMP)
-    wc = np.clip(w, 0.0, 1.0)
-    mix = wc[:, None] * a + (1 - wc)[:, None] * b
-    residual = np.max(np.abs(mix - target), axis=1)
-    winners = np.flatnonzero(admissible & (residual <= _CERT_RESIDUAL))
-    if winners.size:
-        k = int(winners[0])
-        i, j = pairs[k]
-        return PermutationWeighting(
-            ((PERMUTATIONS[i], float(wc[k])), (PERMUTATIONS[j], float(1 - wc[k])))
-        ), 0.0
-
-    # Triples, batch-solved by a Gram-Schmidt QR of the two difference columns
-    # after eliminating the sum-to-one constraint.  Normal equations would
-    # square the columns' condition number, which is large when a drift next
-    # to a chamber wall makes two permuted copies nearly equal.  Subsets with
-    # parallel difference columns (r11 * r22, the root of their Gram
-    # determinant, at most 1e-9) are skipped: anything they could certify was
-    # already caught by a pair.
-    a = columns[triples[:, 0]]
-    b = columns[triples[:, 1]]
-    c = columns[triples[:, 2]]
-    m1, m2, r = a - c, b - c, target - c
-    r11 = np.sqrt(np.einsum("ij,ij->i", m1, m1))
-    q1 = m1 / np.where(r11 > 0, r11, 1.0)[:, None]
-    r12 = np.einsum("ij,ij->i", q1, m2)
-    u = m2 - r12[:, None] * q1
-    r22 = np.sqrt(np.einsum("ij,ij->i", u, u))
-    solvable = r11 * r22 > 1e-9
-    safe_r11 = np.where(solvable, r11, 1.0)
-    safe_r22 = np.where(solvable, r22, 1.0)
-    w2 = np.where(solvable, np.einsum("ij,ij->i", u, r) / (safe_r22 * safe_r22), -1.0)
-    w1 = np.where(solvable, (np.einsum("ij,ij->i", q1, r) - r12 * w2) / safe_r11, -1.0)
-    w3 = 1.0 - w1 - w2
-    mix = w1[:, None] * a + w2[:, None] * b + w3[:, None] * c
-    residual = np.max(np.abs(mix - target), axis=1)
-    nonnegative = solvable & (w1 >= _WEIGHT_CLAMP) & (w2 >= _WEIGHT_CLAMP) & (w3 >= _WEIGHT_CLAMP)
-    winners = np.flatnonzero(nonnegative & (residual <= _CERT_RESIDUAL))
-    if winners.size:
-        k = int(winners[0])
-        weights = np.clip([w1[k], w2[k], w3[k]], 0.0, None)
-        weights = weights / weights.sum()
-        subset = triples[k]
-        return PermutationWeighting(
-            tuple((PERMUTATIONS[subset[m]], float(weights[m])) for m in range(3))
-        ), 0.0
-    return None, float(residual[nonnegative].min()) if nonnegative.any() else math.inf
+    # What is left of mu to express and the weight left for it: the current
+    # point times that weight, so that every comparison is in units of mu
+    # and roundoff does not grow as the weight shrinks.
+    rest, left, terms = mu, 1.0, []
+    while True:
+        pos = np.empty(4, dtype=int)
+        pos[np.lexsort((-rest, lo))] = np.arange(4)  # by block, then like the point
+        vertex = values[pos]
+        perm = tuple(rank[pos].tolist())
+        # A subset lies in one block when lo is the same over it, and it is
+        # proper when it ends before that block does.
+        first = np.where(_SUBSETS, lo, 4).min(axis=1)
+        end = first + _SIZES
+        inner = (first == np.where(_SUBSETS, lo, -1).max(axis=1)) & (end < np.where(_SUBSETS, hi, 0).max(axis=1))
+        sums = _SUBSETS @ rest
+        slack = np.maximum(left * (tops[np.minimum(end, 4)] - tops[first]) - sums, 0.0)
+        rise = sums - left * (_SUBSETS @ vertex)
+        exits = np.flatnonzero(inner & (rise > tight))
+        if not exits.size:
+            return PermutationWeighting((*terms, (perm, left)))
+        k = exits[np.argmin(slack[exits] / rise[exits])]
+        weight = left * float(slack[k] / (slack[k] + rise[k]))
+        if weight > 0:
+            terms.append((perm, weight))
+            rest = rest - weight * vertex
+            left -= weight
+        lo[(lo == first[k]) & ~_SUBSETS[k]] = end[k]
+        hi[_SUBSETS[k]] = end[k]

@@ -162,16 +162,21 @@ def synthesize(target: np.ndarray, alpha: np.ndarray) -> Protocol:
     Pipeline: canonical decomposition of the target picks out its content
     ``beta``; the two-branch cost optimization fixes the total time and the
     shifted content actually simulated; a Birkhoff certificate splits the
-    content's eigenvalue vector into at most three permuted copies of
-    ``alpha``'s, each permutation realized by a local conjugation; adjacent
-    locals are merged and the decomposition's locals wrap the whole sequence.
+    content's eigenvalue vector into permuted copies of ``alpha``'s, each
+    permutation realized by a local conjugation and each copy's weight times
+    the total time becoming a segment's duration, however short.  At the
+    cost's time the content lies on the boundary of the permutohedron, so
+    the certificate's face descent gives at most three segments.  Adjacent
+    locals are merged and the decomposition's locals wrap the whole
+    sequence; a target of cost 0 gets no segment.
 
     Raises:
         NonUnitaryError: if ``target`` is not unitary.
         ValidationError: if ``alpha`` is not finite or not s-ordered.
         InfeasibleError: if ``alpha`` is local-only and the target is not.
         SynthesisResidualError: if the result fails its own verification at
-            1e-7, which indicates an internal inconsistency.
+            ``tolerances.VERIFY`` (1e-7), which indicates an internal
+            inconsistency.
     """
     return _synthesize(target, alpha)[0]
 
@@ -201,9 +206,7 @@ def _synthesize(
     pre = kak.pre_local.matrix()
     post = kak.post_local.matrix()
 
-    # Durations meet the floor in drift phase t * a1, whatever the drift's scale.
-    phase = t_total * alpha[0]
-    if phase <= tol.DURATION_FLOOR:
+    if t_total == 0:
         protocol = Protocol(
             opening=kak.pre_local,
             segments=(),
@@ -224,13 +227,9 @@ def _synthesize(
 
     lam = alpha_to_lambda(alpha)
     mu = alpha_to_lambda(ordered)
-    weighting = birkhoff_express(mu, lam, t_total)
-    terms = [(perm, w * t_total) for perm, w in weighting.terms if w * phase >= tol.DURATION_FLOOR]
-    if not terms:
-        perm, w = max(weighting.terms, key=lambda item: item[1])
-        terms = [(perm, w * t_total)]
+    terms = birkhoff_express(mu, lam, t_total).terms
     conjugators = [_local_gate_of_lambda_perm(perm) for perm, _ in terms]
-    durations = [t for _, t in terms]
+    durations = [w * t_total for _, w in terms]
 
     # target = post conj^dag [prod_i L_i E(t_i) L_i^dag] conj shift pre phase;
     # regroup so each drift is preceded by one merged local, and factor the
@@ -254,7 +253,7 @@ def _synthesize(
 def _verified(
     protocol: Protocol, target: np.ndarray, target_content: np.ndarray
 ) -> tuple[Protocol, VerificationReport]:
-    report = _verify(protocol, target, 1e-7, target_content)
+    report = _verify(protocol, target, tol.VERIFY, target_content)
     if not report.passed:
         raise SynthesisResidualError(
             f"synthesized protocol misses target by {report.max_abs_error_up_to_phase:.3g}"
@@ -274,7 +273,7 @@ def phase_free_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.max(np.abs(u - phase * v)))
 
 
-def verify(p: Protocol, target: np.ndarray, tolerance: float = 1e-7) -> VerificationReport:
+def verify(p: Protocol, target: np.ndarray, tolerance: float = tol.VERIFY) -> VerificationReport:
     """Checks a protocol against a target up to global phase.
 
     Also compares the interaction contents of the simulated and target gates;

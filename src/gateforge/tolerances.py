@@ -31,6 +31,7 @@ SYMMETRY = 1e-9
 #: insensitive to the exact cutoff (the residual check is authoritative).
 CLUSTER = 1e-6
 
-#: Drift segments whose phase ``t * a1`` falls below this are dropped from
-#: synthesized protocols.
-DURATION_FLOOR = 1e-12
+#: Largest phase-free distance at which a protocol passes verification: the
+#: default of ``protocol.verify`` and of the CLI's ``verify``, and the bound
+#: of the self-check of every synthesized protocol.
+VERIFY = 1e-7

@@ -164,6 +164,37 @@ def dressed_gates(draw):
     return np.exp(2j * np.pi * rng.random()) * left @ drift_exponential(alpha_to_lambda(a), 1.0) @ right
 
 
+#: Walls that one side of a weak-wall content sits on.
+_WEAK_WALLS = ("a1=pi/8", "a1=a2", "a2=-a3", "a3=0", "a1=pi/4")
+#: Fixed drift shapes of ``weak_wall_targets``, besides a random one.
+_WALL_DRIFTS = {**_PREFIX_DRIFTS, "oblique": (1.0, 0.6, -0.3)}
+
+
+@st.composite
+def weak_wall_targets(draw):
+    """``(gate, drift)``: a dressed gate whose content has one side on a
+    chamber wall and its other components weak (1e-12 .. 1e-9), and a
+    random, Ising, XY, Heisenberg or ``(1, 0.6, -0.3)`` drift scaled by
+    1e-300 .. 1e300."""
+    wall = draw(st.sampled_from(_WEAK_WALLS))
+    big, small = sorted((10.0 ** draw(st.floats(-12.0, -9.0)) for _ in range(2)), reverse=True)
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    a = {
+        "a1=pi/8": (QUARTER_PI / 2, big, sign * small),
+        "a1=pi/4": (QUARTER_PI, big, sign * small),
+        "a1=a2": (big, big, sign * small),
+        "a2=-a3": (big, small, -small),
+        "a3=0": (big, small, 0.0),
+    }[wall]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("random", *_WALL_DRIFTS)))
+    shape = random_s_ordered_alpha(rng) if kind == "random" else np.array(_WALL_DRIFTS[kind])
+    alpha = shape * 10.0 ** draw(st.floats(-300.0, 300.0))
+    left, right = random_local_pair(rng).matrix(), random_local_pair(rng).matrix()
+    gate = np.exp(2j * np.pi * rng.random()) * left @ drift_exponential(alpha_to_lambda(np.array(a)), 1.0) @ right
+    return gate, alpha
+
+
 # Test-local invariant oracle, independent of the diagonalizer: Makhlin's
 # local invariants (Makhlin, QIP 1, 243 (2002); Zhang, Vala, Sastry and
 # Whaley, PRA 67, 042313 (2003)).  Two gates are locally equivalent exactly

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from conftest import (
     random_su2,
     random_unitary,
     reference_simulate,
+    weak_wall_targets,
 )
 from gateforge import gates
 from gateforge.canonical import (
@@ -151,10 +153,24 @@ def test_synthesized_protocol_has_the_invariants_of_dressed_gates(g, drift, seed
     rng = np.random.default_rng(seed)
     alpha = {"ising": [1.0, 0.0, 0.0], "xy": [1.0, 1.0, 0.0], "heisenberg": [1.0, 1.0, 1.0]}.get(drift)
     alpha = random_s_ordered_alpha(rng) if alpha is None else np.array(alpha)
-    # The Birkhoff certificate accepts a residual of 1e-9 of max|lam * t|: at
-    # content (pi/8, 1e-10, -7e-11) under the Ising drift a one-term
-    # certificate drops the two small components, a gap of 7e-10.
-    assert invariant_gap(simulate(synthesize(g, alpha)), g) <= 1e-8
+    assert invariant_gap(simulate(synthesize(g, alpha)), g) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(weak_wall_targets())
+def test_synthesize_weak_contents_on_the_walls(case):
+    # At content (pi/8, 1e-10, -7e-11) under the Ising drift a certificate
+    # searched with a residual of 1e-9 of max|lam * t| took one term and
+    # dropped the two small components; a segment below a drift-phase floor
+    # of 1e-12 was dropped too, which cut the protocol short of its cost.
+    # A time below the normal range is a multiple of the least subnormal, so
+    # each duration may round by up to one such unit.
+    g, alpha = case
+    p = synthesize(g, alpha)
+    assert invariant_gap(simulate(p), g) <= 1e-12
+    assert len(p.segments) <= 3
+    cost = interaction_cost(interaction_content(g), alpha).cost
+    assert p.total_time == pytest.approx(cost, rel=1e-12, abs=len(p.segments) * math.ulp(0.0))
 
 
 def test_synthesize_self_check_report_is_verify_report():
@@ -407,6 +423,22 @@ def test_synthesize_weak_targets_across_decades():
             assert abs(p.total_time - interaction_cost(interaction_content(target), alpha).cost) <= 1e-12
 
 
+def test_synthesize_weak_targets_take_their_whole_cost():
+    # Contents of 1e-14 .. 1e-10: every certificate term is a segment, however
+    # short, so the protocol lasts exactly the cost.  A floor of 1e-12 on the
+    # drift phase dropped segments and cut such protocols short.
+    rng = np.random.default_rng(25)
+    for size in (1e-14, 1e-13, 1e-12, 1e-11, 1e-10):
+        for _ in range(8):
+            alpha = random_s_ordered_alpha(rng)
+            a = np.sort(rng.uniform(0.0, 1.0, size=3))[::-1] * size
+            a[2] *= rng.choice([-1.0, 1.0])
+            target = random_local_pair(rng).matrix() @ drift_exponential(alpha_to_lambda(a), 1.0) @ random_local_pair(rng).matrix()
+            p = synthesize(target, alpha)
+            assert verify(p, target).passed
+            assert p.total_time == pytest.approx(interaction_cost(interaction_content(target), alpha).cost, rel=1e-12, abs=0.0)
+
+
 def test_coupling_conjugators_give_three_finite_steps():
     # Pure-interaction coupling: the synthesized protocol needs no
     # infinitesimal layer; conjugating each drift by the canonicalizer's
@@ -448,8 +480,9 @@ def test_verify_reports_match_alpha_drift():
 
 
 def test_synthesize_does_not_depend_on_drift_scale():
-    # The duration floor is a drift phase, not a time: at drift scales of 1e12
-    # and above the whole optimal time lies below 1e-12.
+    # Durations scale as the inverse of the drift: at drift scales of 1e12
+    # and above the whole optimal time lies below 1e-12, and no segment is
+    # dropped for being short.
     rng = np.random.default_rng(21)
     chamber = random_local_pair(rng).matrix() @ drift_exponential(
         alpha_to_lambda(np.array([0.6, 0.4, -0.2])), 1.0
